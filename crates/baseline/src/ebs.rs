@@ -11,7 +11,7 @@
 use aurora_sim::hash::FxHashMap as HashMap;
 
 use aurora_log::{apply_record, Lsn, Page, PageId};
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, Name, NodeId, Tag};
 
 use crate::wire::*;
 
@@ -246,8 +246,8 @@ impl aurora_sim::Payload for ApplyToPages {
     fn wire_size(&self) -> usize {
         16 + self.records.iter().map(|r| r.wire_size()).sum::<usize>()
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 

@@ -30,7 +30,7 @@ use aurora_core::engine::InstanceSpec;
 use aurora_core::locks::{LockOutcome, LockTable};
 use aurora_core::wire::{ClientRequest, ClientResponse, Op, OpResult, TxnResult, TxnSpec};
 use aurora_log::{LogRecord, Lsn, Page, PageId, Patch, PgId, RecordBody, TxnId};
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, Tag};
 use bytes::Bytes;
 
 use crate::wire::*;
@@ -454,7 +454,7 @@ impl MysqlEngine {
         let bytes = std::mem::take(&mut self.log_buffer_bytes).max(512);
         let req_id = self.next_req;
         self.next_req += 1;
-        ctx.inc("mysql.log_flushes", 1);
+        ctx.inc(name!("mysql.log_flushes"), 1);
         ctx.send(
             self.cfg.ebs,
             EbsAppend {
@@ -515,10 +515,10 @@ impl MysqlEngine {
         for cw in round.commits {
             // traditional: locks are held until the commit is durable
             self.locks.release_all(cw.txn);
-            ctx.inc("mysql.commits", 1);
-            ctx.inc("mysql.write_txns", 1);
-            ctx.record("mysql.txn_ns", now.since(cw.issued_at).nanos());
-            ctx.record("mysql.commit_ns", now.since(cw.issued_at).nanos());
+            ctx.inc(name!("mysql.commits"), 1);
+            ctx.inc(name!("mysql.write_txns"), 1);
+            ctx.record(name!("mysql.txn_ns"), now.since(cw.issued_at).nanos());
+            ctx.record(name!("mysql.commit_ns"), now.since(cw.issued_at).nanos());
             ctx.send(
                 cw.client,
                 ClientResponse {
@@ -554,7 +554,7 @@ impl MysqlEngine {
         }
         self.checkpoint_active = true;
         self.checkpoint_queue = self.pool.dirty_pages();
-        ctx.inc("mysql.checkpoints", 1);
+        ctx.inc(name!("mysql.checkpoints"), 1);
         self.drive_checkpoint(ctx);
     }
 
@@ -606,7 +606,7 @@ impl MysqlEngine {
                 checkpoint,
             },
         );
-        ctx.inc("mysql.page_flushes", 1);
+        ctx.inc(name!("mysql.page_flushes"), 1);
         ctx.send(
             self.cfg.ebs,
             EbsWritePage {
@@ -702,7 +702,7 @@ impl MysqlEngine {
         // ("reduce … interference with foreground transactions" is exactly
         // what this engine cannot do)
         if self.checkpoint_active && op.write_key().is_some() && !is_rollback {
-            ctx.inc("mysql.checkpoint_stalls", 1);
+            ctx.inc(name!("mysql.checkpoint_stalls"), 1);
             self.stalled_writes.push_back(conn);
             return;
         }
@@ -711,7 +711,7 @@ impl MysqlEngine {
             match self.locks.acquire(key, txn) {
                 LockOutcome::Granted => {}
                 LockOutcome::Queued => {
-                    ctx.inc("mysql.lock_waits", 1);
+                    ctx.inc(name!("mysql.lock_waits"), 1);
                     let now = ctx.now();
                     if let Some(rt) = self.running.get_mut(&conn) {
                         rt.phase = Phase::LockWait { key, since: now };
@@ -724,11 +724,11 @@ impl MysqlEngine {
         match self.try_exec_op(conn, &op) {
             Ok(result) => {
                 let kind = match &op {
-                    Op::Get(_) => "mysql.select_ns",
-                    Op::Scan(_, _) => "mysql.scan_ns",
-                    Op::Insert(_, _) => "mysql.insert_ns",
-                    Op::Update(_, _) | Op::Upsert(_, _) => "mysql.update_ns",
-                    Op::Delete(_) => "mysql.delete_ns",
+                    Op::Get(_) => name!("mysql.select_ns"),
+                    Op::Scan(_, _) => name!("mysql.scan_ns"),
+                    Op::Insert(_, _) => name!("mysql.insert_ns"),
+                    Op::Update(_, _) | Op::Upsert(_, _) => name!("mysql.update_ns"),
+                    Op::Delete(_) => name!("mysql.delete_ns"),
                 };
                 let is_write = op.write_key().is_some();
                 let rt = self.running.get_mut(&conn).unwrap();
@@ -861,9 +861,9 @@ impl MysqlEngine {
             return;
         }
         if !rt.wrote {
-            ctx.inc("mysql.commits", 1);
-            ctx.inc("mysql.read_txns", 1);
-            ctx.record("mysql.txn_ns", ctx.now().since(rt.issued_at).nanos());
+            ctx.inc(name!("mysql.commits"), 1);
+            ctx.inc(name!("mysql.read_txns"), 1);
+            ctx.record(name!("mysql.txn_ns"), ctx.now().since(rt.issued_at).nanos());
             ctx.send(
                 rt.client,
                 ClientResponse {
@@ -891,12 +891,12 @@ impl MysqlEngine {
             return;
         };
         if rt.rollback {
-            ctx.inc("mysql.rollback_errors", 1);
+            ctx.inc(name!("mysql.rollback_errors"), 1);
             self.locks.release_all(rt.txn);
             self.resume_lock_waiters(ctx);
             return;
         }
-        ctx.inc("mysql.aborts", 1);
+        ctx.inc(name!("mysql.aborts"), 1);
         ctx.send(
             rt.client,
             ClientResponse {
@@ -973,7 +973,7 @@ impl MysqlEngine {
                 conns: vec![conn],
             },
         );
-        ctx.inc("mysql.page_fetches", 1);
+        ctx.inc(name!("mysql.page_fetches"), 1);
         ctx.send(
             self.cfg.ebs,
             EbsReadPage {
@@ -996,7 +996,7 @@ impl MysqlEngine {
                 break;
             };
             if dirty {
-                ctx.inc("mysql.evict_flushes", 1);
+                ctx.inc(name!("mysql.evict_flushes"), 1);
                 let req_id = self.next_req - 1; // reuse: flush_page assigns its own
                 let _ = req_id;
                 // flush synchronously from the txn's perspective: park the
@@ -1194,7 +1194,7 @@ impl MysqlEngine {
         self.redo_since_checkpoint = 0;
         self.pool.shrink_to_capacity(Lsn(u64::MAX));
         self.status = Status::Ready;
-        ctx.inc("mysql.bootstrap_rows", self.cfg.bootstrap_rows);
+        ctx.inc(name!("mysql.bootstrap_rows"), self.cfg.bootstrap_rows);
     }
 
     fn start_recovery(&mut self, ctx: &mut Ctx<'_>) {
@@ -1308,7 +1308,7 @@ impl Actor for MysqlEngine {
                         .map(|(c, _)| *c)
                         .collect();
                     for conn in timed_out {
-                        ctx.inc("mysql.lock_timeouts", 1);
+                        ctx.inc(name!("mysql.lock_timeouts"), 1);
                         self.abort_txn(ctx, conn, "lock wait timeout".into());
                     }
                     ctx.set_timer(SimDuration::from_millis(5), TAG_SWEEP);
@@ -1318,9 +1318,9 @@ impl Actor for MysqlEngine {
                 }
                 TAG_REPLAY_DONE => {
                     self.status = Status::Ready;
-                    ctx.inc("mysql.recoveries", 1);
+                    ctx.inc(name!("mysql.recoveries"), 1);
                     ctx.record(
-                        "mysql.recovery_ns",
+                        name!("mysql.recovery_ns"),
                         ctx.now().since(self.replay_started).nanos(),
                     );
                     let rollbacks = std::mem::take(&mut self.pending_rollbacks);

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use aurora_sim::hash::FxHashMap as HashMap;
 
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, Tag};
 
 use crate::wire::*;
 
@@ -125,8 +125,8 @@ impl Actor for BinlogReplica {
                     self.applied += 1;
                     let lag = ctx.now().since(event.committed_at);
                     self.last_lag = lag;
-                    ctx.record("mysql.replica_lag_ns", lag.nanos());
-                    ctx.inc("mysql.replica_applied", 1);
+                    ctx.record(name!("mysql.replica_lag_ns"), lag.nanos());
+                    ctx.inc(name!("mysql.replica_applied"), 1);
                 }
                 self.pump(ctx);
             }

@@ -4,7 +4,7 @@
 //! database node, exactly as the paper does.
 
 use aurora_log::{LogRecord, Lsn, Page, PageId, PAGE_SIZE};
-use aurora_sim::{Msg, Payload, SimTime};
+use aurora_sim::{name, Msg, Name, Payload, SimTime};
 
 /// Append redo-log (or binlog) bytes to the volume.
 #[derive(Debug, Clone)]
@@ -25,8 +25,8 @@ impl Payload for EbsAppend {
     fn wire_size(&self) -> usize {
         32 + self.bytes
     }
-    fn class(&self) -> &'static str {
-        "ebs_log_write"
+    fn class(&self) -> &'static Name {
+        name!("ebs_log_write")
     }
 }
 
@@ -49,8 +49,8 @@ impl Payload for EbsWritePage {
     fn wire_size(&self) -> usize {
         32 + PAGE_SIZE
     }
-    fn class(&self) -> &'static str {
-        "ebs_page_write"
+    fn class(&self) -> &'static Name {
+        name!("ebs_page_write")
     }
 }
 
@@ -67,8 +67,8 @@ impl Payload for EbsAck {
     fn wire_size(&self) -> usize {
         16
     }
-    fn class(&self) -> &'static str {
-        "ebs_ack"
+    fn class(&self) -> &'static Name {
+        name!("ebs_ack")
     }
 }
 
@@ -86,8 +86,8 @@ impl Payload for EbsReadPage {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "ebs_page_read"
+    fn class(&self) -> &'static Name {
+        name!("ebs_page_read")
     }
 }
 
@@ -106,8 +106,8 @@ impl Payload for EbsReadResp {
     fn wire_size(&self) -> usize {
         24 + PAGE_SIZE
     }
-    fn class(&self) -> &'static str {
-        "ebs_page_resp"
+    fn class(&self) -> &'static Name {
+        name!("ebs_page_resp")
     }
 }
 
@@ -125,8 +125,8 @@ impl Payload for MirrorWrite {
     fn wire_size(&self) -> usize {
         16 + self.bytes
     }
-    fn class(&self) -> &'static str {
-        "ebs_mirror"
+    fn class(&self) -> &'static Name {
+        name!("ebs_mirror")
     }
 }
 
@@ -143,8 +143,8 @@ impl Payload for MirrorAck {
     fn wire_size(&self) -> usize {
         16
     }
-    fn class(&self) -> &'static str {
-        "ebs_mirror"
+    fn class(&self) -> &'static Name {
+        name!("ebs_mirror")
     }
 }
 
@@ -163,8 +163,8 @@ impl Payload for StandbyShip {
     fn wire_size(&self) -> usize {
         24 + self.bytes
     }
-    fn class(&self) -> &'static str {
-        "standby_ship"
+    fn class(&self) -> &'static Name {
+        name!("standby_ship")
     }
 }
 
@@ -181,8 +181,8 @@ impl Payload for StandbyAck {
     fn wire_size(&self) -> usize {
         16
     }
-    fn class(&self) -> &'static str {
-        "standby_ship"
+    fn class(&self) -> &'static Name {
+        name!("standby_ship")
     }
 }
 
@@ -205,8 +205,8 @@ impl Payload for BinlogEvent {
     fn wire_size(&self) -> usize {
         32 + self.bytes
     }
-    fn class(&self) -> &'static str {
-        "binlog"
+    fn class(&self) -> &'static Name {
+        name!("binlog")
     }
 }
 
@@ -224,8 +224,8 @@ impl Payload for ReplayReq {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -243,8 +243,8 @@ impl Payload for ReplayResp {
     fn wire_size(&self) -> usize {
         16 + self.records.iter().map(|r| r.wire_size()).sum::<usize>()
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -260,7 +260,7 @@ mod tests {
             records: vec![],
             binlog: false,
         };
-        assert_eq!(a.class(), "ebs_log_write");
+        assert_eq!(a.class().name(), "ebs_log_write");
         assert_eq!(a.wire_size(), 132);
         let p = EbsWritePage {
             req_id: 1,
@@ -268,7 +268,7 @@ mod tests {
             page: Page::new(),
             doublewrite: true,
         };
-        assert_eq!(p.class(), "ebs_page_write");
+        assert_eq!(p.class().name(), "ebs_page_write");
         assert!(p.wire_size() > PAGE_SIZE);
     }
 }

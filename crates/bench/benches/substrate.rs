@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the DES substrate hot paths this repo's
 //! experiments live on: raw event-kernel dispatch, the zero-copy log
 //! fan-out building blocks (exact-size encode, scratch reuse, shared
-//! batch slices), the coalesce-style apply loop, the interned-metrics
-//! fast path, the trace emit path (enabled vs disabled), and one full
+//! batch slices), the coalesce-style apply loop, the descriptor-keyed
+//! metric writes, the trace emit path (enabled vs disabled), and one full
 //! DST seed as the end-to-end harness window (plain and traced).
 //!
 //! `BENCH_PR5.json` records the checked-in medians; the bench CI job
@@ -18,7 +18,7 @@ use aurora_log::{
     apply_record, codec, LogRecord, Lsn, Page, PageId, Patch, PgId, RecordBody, SegmentLog, TxnId,
 };
 use aurora_sim::{
-    Actor, ActorEvent, Ctx, EventQueue, MetricsRegistry, NodeOpts, Payload, Sim, SpanId,
+    name, Actor, ActorEvent, Ctx, EventQueue, MetricsRegistry, NodeOpts, Payload, Sim, SpanId,
     TraceBuffer, WheelItem, Zone,
 };
 
@@ -192,26 +192,21 @@ fn bench_apply_coalesce(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
-// Metrics: interned-handle fast path vs string-keyed path
+// Metrics: the descriptor write path every instrumented actor pays
 // ---------------------------------------------------------------------
 
 fn bench_metrics(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("inc_by_name", |b| {
+    g.throughput(Throughput::Elements(2));
+    g.bench_function("inc_and_record", |b| {
         let mut m = MetricsRegistry::new();
+        let mut v = 0u64;
         b.iter(|| {
-            m.inc(3, "engine.commits", 1);
-            black_box(m.counter(3, "engine.commits"))
-        })
-    });
-    g.bench_function("inc_by_id", |b| {
-        let mut m = MetricsRegistry::new();
-        let id = m.metric_id("engine.commits");
-        b.iter(|| {
-            m.inc_id(3, id, 1);
-            black_box(id)
-        })
+            v = v.wrapping_add(997);
+            m.inc(3, name!("engine.commits"), 1);
+            m.record(3, name!("engine.commit_ns"), black_box(v));
+        });
+        black_box(m.counter(3, "engine.commits"));
     });
     g.finish();
 }
@@ -239,7 +234,7 @@ impl Actor for TracingPingPong {
                 if self.remaining > 0 && msg.downcast_ref::<Ball>().is_some() =>
             {
                 self.remaining -= 1;
-                ctx.trace_instant("bench.ball", SpanId::NONE, self.remaining as u64, 0);
+                ctx.trace_instant(name!("bench.ball"), SpanId::NONE, self.remaining as u64, 0);
                 ctx.send(from, Ball);
             }
             _ => {}
@@ -290,8 +285,8 @@ fn bench_trace(c: &mut Criterion) {
     g.bench_function("span_pair_disabled", |b| {
         let mut t = TraceBuffer::new();
         b.iter(|| {
-            let s = t.begin(1_000, 3, "engine.commit", SpanId::NONE, 42, 7);
-            t.end(2_000, 3, "engine.commit", s, 42, 1);
+            let s = t.begin(1_000, 3, name!("engine.commit"), SpanId::NONE, 42, 7);
+            t.end(2_000, 3, name!("engine.commit"), s, 42, 1);
             black_box(t.len())
         })
     });
@@ -299,8 +294,8 @@ fn bench_trace(c: &mut Criterion) {
         let mut t = TraceBuffer::new();
         t.enable(65_536);
         b.iter(|| {
-            let s = t.begin(1_000, 3, "engine.commit", SpanId::NONE, 42, 7);
-            t.end(2_000, 3, "engine.commit", s, 42, 1);
+            let s = t.begin(1_000, 3, name!("engine.commit"), SpanId::NONE, 42, 7);
+            t.end(2_000, 3, name!("engine.commit"), s, 42, 1);
             black_box(t.len())
         })
     });

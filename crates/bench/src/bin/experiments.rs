@@ -221,11 +221,13 @@ fn main() {
         }
     }
 
-    /// One suite's captured run: output text, elapsed seconds, and the
-    /// point series bench-json wants without re-running the sweep.
+    /// One suite's captured run: output text, elapsed seconds, the kernel
+    /// figures of its simulations, and the point series bench-json wants
+    /// without re-running the sweep.
     struct SuiteRun {
         text: String,
         secs: f64,
+        kernel: ex::KernelTally,
         frontier: Option<Vec<ex::FrontierPoint>>,
         grayfail: Option<Vec<ex::GrayfailPoint>>,
         connscale: Option<Vec<ex::ConnscalePoint>>,
@@ -241,25 +243,27 @@ fn main() {
         jobs,
         |name| {
             let t0 = Instant::now();
-            let (text, (frontier, grayfail, connscale)) = ex::captured(|| match name.as_str() {
-                "frontier" => (Some(ex::frontier(scale)), None, None),
-                "grayfail" => (None, Some(ex::grayfail(scale)), None),
-                "connscale" => {
-                    let points = match connscale_ladder {
-                        ConnscaleLadder::Full => ex::connscale(scale),
-                        ConnscaleLadder::Smoke => ex::connscale_smoke(scale),
-                        ConnscaleLadder::Nightly => ex::connscale_nightly(scale),
-                    };
-                    (None, None, Some(points))
-                }
-                _ => {
-                    run_suite(name, scale);
-                    (None, None, None)
-                }
-            });
+            let (text, kernel, (frontier, grayfail, connscale)) =
+                ex::captured(|| match name.as_str() {
+                    "frontier" => (Some(ex::frontier(scale)), None, None),
+                    "grayfail" => (None, Some(ex::grayfail(scale)), None),
+                    "connscale" => {
+                        let points = match connscale_ladder {
+                            ConnscaleLadder::Full => ex::connscale(scale),
+                            ConnscaleLadder::Smoke => ex::connscale_smoke(scale),
+                            ConnscaleLadder::Nightly => ex::connscale_nightly(scale),
+                        };
+                        (None, None, Some(points))
+                    }
+                    _ => {
+                        run_suite(name, scale);
+                        (None, None, None)
+                    }
+                });
             SuiteRun {
                 text,
                 secs: t0.elapsed().as_secs_f64(),
+                kernel,
                 frontier,
                 grayfail,
                 connscale,
@@ -276,14 +280,16 @@ fn main() {
     let mut frontier_points: Option<Vec<ex::FrontierPoint>> = None;
     let mut grayfail_points: Option<Vec<ex::GrayfailPoint>> = None;
     let mut connscale_points: Option<Vec<ex::ConnscalePoint>> = None;
+    let mut kernel = ex::KernelTally::default();
     for run in runs {
+        kernel.add(run.kernel);
         frontier_points = frontier_points.or(run.frontier);
         grayfail_points = grayfail_points.or(run.grayfail);
         connscale_points = connscale_points.or(run.connscale);
     }
 
     if let Some(path) = bench_json {
-        let events = aurora_sim::sim::events_dispatched_total();
+        let events = kernel.events_dispatched;
         let eps = if wall > 0.0 {
             events as f64 / wall
         } else {
@@ -303,22 +309,23 @@ fn main() {
         out.push_str(&format!("  \"events_dispatched\": {events},\n"));
         out.push_str(&format!("  \"events_per_sec\": {eps:.0},\n"));
         out.push_str(&format!("  \"jobs\": {jobs},\n"));
-        // Kernel queue/allocation gauges: the deepest event queue any
+        // Kernel queue/allocation gauges over the suites' simulations
+        // (not the latency run below): the deepest event queue any
         // simulation reached, how many events fell past the timer-wheel
         // horizon into the overflow heap, and the largest recycled
         // event-storage pool — tracked so queue/memory growth regressions
         // show up in CI's profile diff, not just peak RSS.
         out.push_str(&format!(
             "  \"events_queue_high_water\": {},\n",
-            aurora_sim::sim::events_queue_high_water_total()
+            kernel.queue_high_water
         ));
         out.push_str(&format!(
             "  \"events_overflowed\": {},\n",
-            aurora_sim::sim::events_overflow_total()
+            kernel.overflowed
         ));
         out.push_str(&format!(
             "  \"kernel_event_pool_peak_bytes\": {},\n",
-            aurora_sim::sim::events_reserved_bytes_peak()
+            kernel.pool_peak_bytes
         ));
         out.push_str(&format!("  \"peak_rss_kb\": {},\n", peak_rss_kb()));
         out.push_str("  \"latency\": {\n");

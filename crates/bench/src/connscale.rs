@@ -267,6 +267,7 @@ pub fn run_connscale_step(p: &ConnscaleParams) -> ConnscaleStats {
         })
         .collect();
 
+    crate::experiments::note_sim(&c.sim);
     ConnscaleStats {
         sessions: p.sessions,
         shards: p.shards,

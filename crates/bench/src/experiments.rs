@@ -21,6 +21,45 @@ thread_local! {
     /// so the worker pool can run suites concurrently and print their
     /// outputs in suite order — byte-identical to a sequential run.
     static SINK: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
+    /// Kernel figures of the simulations the captured suite has run;
+    /// `None` outside [`captured`].
+    static KERNEL: std::cell::Cell<Option<KernelTally>> = const { std::cell::Cell::new(None) };
+}
+
+/// Event-kernel figures over a set of simulations: events dispatched and
+/// timer-wheel overflows add up; queue depth and event-pool bytes are the
+/// largest any one simulation reached.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KernelTally {
+    pub events_dispatched: u64,
+    pub queue_high_water: u64,
+    pub overflowed: u64,
+    pub pool_peak_bytes: u64,
+}
+
+impl KernelTally {
+    pub fn add(&mut self, other: KernelTally) {
+        self.events_dispatched += other.events_dispatched;
+        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
+        self.overflowed += other.overflowed;
+        self.pool_peak_bytes = self.pool_peak_bytes.max(other.pool_peak_bytes);
+    }
+}
+
+/// Count a finished simulation into the captured suite's [`KernelTally`]
+/// (no-op outside [`captured`]).
+pub fn note_sim(sim: &aurora_sim::Sim) {
+    KERNEL.with(|k| {
+        if let Some(mut t) = k.get() {
+            t.add(KernelTally {
+                events_dispatched: sim.events_dispatched(),
+                queue_high_water: sim.events_queue_high_water() as u64,
+                overflowed: sim.events_overflowed(),
+                pool_peak_bytes: sim.events_reserved_bytes() as u64,
+            });
+            k.set(Some(t));
+        }
+    });
 }
 
 /// Emit one suite-output line: into this thread's capture buffer if one
@@ -37,12 +76,15 @@ pub fn emit_line(line: std::fmt::Arguments<'_>) {
 }
 
 /// Run `f` with this thread's suite output captured; returns the captured
-/// text alongside `f`'s result.
-pub fn captured<R>(f: impl FnOnce() -> R) -> (String, R) {
+/// text and the kernel figures of the simulations `f` ran alongside `f`'s
+/// result.
+pub fn captured<R>(f: impl FnOnce() -> R) -> (String, KernelTally, R) {
     SINK.with(|s| *s.borrow_mut() = Some(String::new()));
+    KERNEL.with(|k| k.set(Some(KernelTally::default())));
     let r = f();
     let text = SINK.with(|s| s.borrow_mut().take().unwrap_or_default());
-    (text, r)
+    let kernel = KERNEL.with(|k| k.take().unwrap_or_default());
+    (text, kernel, r)
 }
 
 /// `println!` for suite output, routed through the capture sink.
@@ -491,6 +533,7 @@ fn run_mysql_cluster(c: &mut aurora_baseline::MysqlCluster, p: &MysqlParams) -> 
     c.sim.run_for(p.warmup);
     c.sim.clear_stats();
     c.sim.run_for(p.window);
+    note_sim(&c.sim);
     let m = &c.sim.metrics;
     let commits = m.counter_total("client.commits");
     let txn = m.histogram_total("client.txn_ns");
@@ -597,6 +640,7 @@ pub fn fig12(scale: f64) -> Vec<(String, f64)> {
     c.sim
         .tell(client, Relay::new(engine, ZdpPatch { version: 2 }));
     c.sim.run_for(p.window.mul_f64(0.5));
+    note_sim(&c.sim);
 
     let commits = c.sim.metrics.counter_total("client.commits");
     let probe = c.sim.actor::<Probe>(c.client);
@@ -729,6 +773,7 @@ fn run_aurora_cluster(c: &mut aurora_core::cluster::Cluster, p: &AuroraParams) -
     c.sim.run_for(p.warmup);
     c.sim.clear_stats();
     c.sim.run_for(p.window);
+    note_sim(&c.sim);
     let m = &c.sim.metrics;
     let commits = m.counter_total("client.commits");
     let txn = m.histogram_total("client.txn_ns");

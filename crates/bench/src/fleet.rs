@@ -27,7 +27,7 @@
 //! admission control), `fleet.txn_ns` (committed end-to-end latency).
 
 use aurora_core::wire::{ClientRequest, ClientResponse, TxnResult};
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimRng, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimRng, Tag};
 
 use crate::workload::{gen_txn, Mix};
 
@@ -142,7 +142,7 @@ impl SessionFleet {
             &mut self.rng,
         );
         self.issued += 1;
-        ctx.inc("fleet.issued", 1);
+        ctx.inc(name!("fleet.issued"), 1);
         ctx.send(
             self.cfg.proxy,
             ClientRequest {
@@ -178,16 +178,19 @@ impl SessionFleet {
         match &resp.result {
             TxnResult::Committed(_) => {
                 self.commits += 1;
-                ctx.inc("fleet.commits", 1);
-                ctx.record("fleet.txn_ns", ctx.now().since(resp.issued_at).nanos());
+                ctx.inc(name!("fleet.commits"), 1);
+                ctx.record(
+                    name!("fleet.txn_ns"),
+                    ctx.now().since(resp.issued_at).nanos(),
+                );
             }
             TxnResult::Aborted(reason) if reason.starts_with("shed") => {
                 self.sheds += 1;
-                ctx.inc("fleet.sheds", 1);
+                ctx.inc(name!("fleet.sheds"), 1);
             }
             TxnResult::Aborted(_) => {
                 self.aborts += 1;
-                ctx.inc("fleet.aborts", 1);
+                ctx.inc(name!("fleet.aborts"), 1);
             }
         }
         let d = self.think_ticks();

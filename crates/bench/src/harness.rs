@@ -446,6 +446,7 @@ pub fn run_aurora_with(
     ] {
         extra.insert(name.to_string(), m.counter_total(name) as f64);
     }
+    crate::experiments::note_sim(&c.sim);
     let label = format!("aurora/{}", p.instance.name);
     if let Some(dir) = tracing_to {
         write_run_trace(&dir, &label, &c);
@@ -590,6 +591,7 @@ pub fn run_mysql_with(
     ] {
         extra.insert(name.to_string(), m.counter_total(name) as f64);
     }
+    crate::experiments::note_sim(&c.sim);
     RunStats {
         label: label.to_string(),
         window_secs: secs,
@@ -675,6 +677,7 @@ pub fn aurora_recovery_time(p: &AuroraParams) -> (f64, f64) {
         guard += 1;
         assert!(guard < 100_000, "recovery never finished");
     }
+    crate::experiments::note_sim(&c.sim);
     let rec = c.sim.metrics.histogram_total("engine.recovery_ns");
     if rec.count() == 0 {
         eprintln!(
@@ -740,6 +743,7 @@ pub fn mysql_recovery_time(p: &MysqlParams, checkpoint_every: u64) -> (f64, f64)
         guard += 1;
         assert!(guard < 1_000_000, "recovery never finished");
     }
+    crate::experiments::note_sim(&c.sim);
     let rec = c.sim.metrics.histogram_total("mysql.recovery_ns");
     (ns_ms(rec.max()), wps)
 }

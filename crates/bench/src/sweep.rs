@@ -6,10 +6,11 @@
 //! ## Determinism argument
 //!
 //! Each work item is a self-contained simulation: a `Sim` owns its RNG,
-//! metric/trace interning tables, and network statistics, so two items
-//! running on different threads share no mutable state. The only
-//! process-wide mutables in the workspace are reporting-only atomics
-//! (event totals, queue high-water marks) that no simulation ever reads.
+//! metric, trace and network tables, so two items running on different
+//! threads share no simulation state. The only process-wide mutable in
+//! the workspace is the write-once instrumentation name table
+//! (`aurora_sim::Name`), whose ids depend on which thread resolved a name
+//! first and therefore never reach an output or a decision.
 //! Items are therefore pure functions of their input, and the pool's job
 //! is purely *scheduling*: it may compute items in any real-time order,
 //! but it hands results to the caller strictly in item order via

@@ -18,7 +18,7 @@
 //!   transaction per web request.
 
 use aurora_core::wire::{ClientRequest, ClientResponse, Op, TxnResult, TxnSpec};
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimRng, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimRng, Tag};
 
 const TAG_OPEN_LOOP: Tag = 1;
 
@@ -210,12 +210,12 @@ impl Actor for WorkloadActor {
                     match resp.result {
                         TxnResult::Committed(_) => {
                             self.commits += 1;
-                            ctx.inc("client.commits", 1);
-                            ctx.record("client.txn_ns", latency);
+                            ctx.inc(name!("client.commits"), 1);
+                            ctx.record(name!("client.txn_ns"), latency);
                         }
                         TxnResult::Aborted(_) => {
                             self.aborts += 1;
-                            ctx.inc("client.aborts", 1);
+                            ctx.inc(name!("client.aborts"), 1);
                         }
                     }
                     // closed loop: replace the finished transaction

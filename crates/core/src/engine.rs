@@ -35,7 +35,9 @@ use aurora_log::{
     SegmentId, TxnId, LAL_DEFAULT,
 };
 use aurora_quorum::{AckOutcome, DurabilityTracker, QuorumConfig, TruncationRange, VolumeEpoch};
-use aurora_sim::{Actor, ActorEvent, Ctx, Msg, NodeId, SimDuration, SimTime, SpanId, Tag, TimerId};
+use aurora_sim::{
+    name, Actor, ActorEvent, Ctx, Msg, NodeId, SimDuration, SimTime, SpanId, Tag, TimerId,
+};
 use aurora_storage::wire as swire;
 use aurora_storage::{PgMembership, VolumeLayout};
 use bytes::Bytes;
@@ -428,78 +430,8 @@ struct RecoveryState {
 }
 
 /// The writer-instance actor.
-/// Pre-resolved handles for the engine's per-event counters (see
-/// [`Ctx::inc_id`]): the commit/exec/flush loops run several metric
-/// updates per event, and a handle turns each into a direct slot index.
-/// Resolved lazily on first use; handles stay valid across stat clears
-/// and crash/restart cycles.
-#[derive(Clone, Copy)]
-struct HotIds {
-    txn_ns: aurora_sim::MetricId,
-    commit_ns: aurora_sim::MetricId,
-    ack_ns: aurora_sim::MetricId,
-    commits: aurora_sim::MetricId,
-    read_txns: aurora_sim::MetricId,
-    write_txns: aurora_sim::MetricId,
-    lock_waits: aurora_sim::MetricId,
-    lal_stalls: aurora_sim::MetricId,
-    log_write_ios: aurora_sim::MetricId,
-    batches: aurora_sim::MetricId,
-    records_shipped: aurora_sim::MetricId,
-    ship_immediate: aurora_sim::MetricId,
-    ship_size: aurora_sim::MetricId,
-    ship_deadline: aurora_sim::MetricId,
-    ship_forced: aurora_sim::MetricId,
-    page_fetches: aurora_sim::MetricId,
-    page_fetch_ns: aurora_sim::MetricId,
-    select_ns: aurora_sim::MetricId,
-    scan_ns: aurora_sim::MetricId,
-    insert_ns: aurora_sim::MetricId,
-    update_ns: aurora_sim::MetricId,
-    delete_ns: aurora_sim::MetricId,
-    health_strikes: aurora_sim::MetricId,
-    suspect_reports: aurora_sim::MetricId,
-    hedged_ships: aurora_sim::MetricId,
-    retransmits: aurora_sim::MetricId,
-}
-
-impl HotIds {
-    fn resolve(ctx: &mut Ctx<'_>) -> Self {
-        HotIds {
-            txn_ns: ctx.metric_id("engine.txn_ns"),
-            commit_ns: ctx.metric_id("engine.commit_ns"),
-            ack_ns: ctx.metric_id("engine.ack_ns"),
-            commits: ctx.metric_id("engine.commits"),
-            read_txns: ctx.metric_id("engine.read_txns"),
-            write_txns: ctx.metric_id("engine.write_txns"),
-            lock_waits: ctx.metric_id("engine.lock_waits"),
-            lal_stalls: ctx.metric_id("engine.lal_stalls"),
-            log_write_ios: ctx.metric_id("engine.log_write_ios"),
-            batches: ctx.metric_id("engine.batches"),
-            records_shipped: ctx.metric_id("engine.records_shipped"),
-            ship_immediate: ctx.metric_id("engine.ship_immediate"),
-            ship_size: ctx.metric_id("engine.ship_size"),
-            ship_deadline: ctx.metric_id("engine.ship_deadline"),
-            ship_forced: ctx.metric_id("engine.ship_forced"),
-            page_fetches: ctx.metric_id("engine.page_fetches"),
-            page_fetch_ns: ctx.metric_id("engine.page_fetch_ns"),
-            select_ns: ctx.metric_id("engine.select_ns"),
-            scan_ns: ctx.metric_id("engine.scan_ns"),
-            insert_ns: ctx.metric_id("engine.insert_ns"),
-            update_ns: ctx.metric_id("engine.update_ns"),
-            delete_ns: ctx.metric_id("engine.delete_ns"),
-            health_strikes: ctx.metric_id("engine.health_strikes"),
-            suspect_reports: ctx.metric_id("engine.suspect_reports"),
-            hedged_ships: ctx.metric_id("engine.hedged_ships"),
-            retransmits: ctx.metric_id("engine.log_write_retransmits"),
-        }
-    }
-}
-
 pub struct EngineActor {
     cfg: EngineConfig,
-    /// Lazily resolved metric handles (not state: survives crashes).
-    hot: Option<HotIds>,
     /// Test-only fault: when set, `flush_staging` silently drops its ship
     /// decision and records stay staged forever. Deliberately NOT cleared
     /// by `on_crash` — it models a persistent ship-path defect, so the
@@ -748,11 +680,6 @@ pub fn bootstrap_row(key: u64, row_size: usize) -> Vec<u8> {
 }
 
 impl EngineActor {
-    /// Resolve (once) and copy out the hot metric handles.
-    fn hot(&mut self, ctx: &mut Ctx<'_>) -> HotIds {
-        *self.hot.get_or_insert_with(|| HotIds::resolve(ctx))
-    }
-
     pub fn new(cfg: EngineConfig) -> Self {
         let tree = BTree::new(TreeMeta::for_row_size(cfg.row_size, PageId(0)));
         let pool = BufferPool::new(cfg.instance.buffer_pages);
@@ -760,7 +687,6 @@ impl EngineActor {
         let tracker = DurabilityTracker::new(cfg.quorum, Lsn::ZERO);
         let vcpus = cfg.instance.vcpus as usize;
         EngineActor {
-            hot: None,
             stall_ship: false,
             health_frozen: false,
             tree,
@@ -991,12 +917,11 @@ impl EngineActor {
             self.cfg.layout.grow_to_cover(aurora_log::PageId(
                 (pg.0 as u64 + 1) * self.cfg.layout.pages_per_pg - 1,
             ));
-            ctx.inc("engine.volume_growths", 1);
+            ctx.inc(name!("engine.volume_growths"), 1);
         }
     }
 
     fn flush_staging(&mut self, ctx: &mut Ctx<'_>, reason: ShipReason) {
-        let ids = self.hot(ctx);
         if self.staging.is_empty() {
             return;
         }
@@ -1010,10 +935,10 @@ impl EngineActor {
             self.cancel_flush_timer(ctx);
         }
         match reason {
-            ShipReason::Immediate => ctx.inc_id(ids.ship_immediate, 1),
-            ShipReason::Size => ctx.inc_id(ids.ship_size, 1),
-            ShipReason::Deadline => ctx.inc_id(ids.ship_deadline, 1),
-            ShipReason::Forced => ctx.inc_id(ids.ship_forced, 1),
+            ShipReason::Immediate => ctx.inc(name!("engine.ship_immediate"), 1),
+            ShipReason::Size => ctx.inc(name!("engine.ship_size"), 1),
+            ShipReason::Deadline => ctx.inc(name!("engine.ship_deadline"), 1),
+            ShipReason::Forced => ctx.inc(name!("engine.ship_forced"), 1),
         }
         self.ensure_memberships(ctx);
         let records = std::mem::take(&mut self.staging);
@@ -1026,15 +951,23 @@ impl EngineActor {
         // the batch-quorum span opens when the first copy leaves the
         // engine and closes when the 4/6 write quorum has acked it
         let span = ctx.trace_begin(
-            "engine.batch_quorum",
+            name!("engine.batch_quorum"),
             SpanId::NONE,
             batch_end.0,
             records.len() as u64,
         );
-        ctx.trace_instant("wm.pgmrpl", span, pgmrpl.0, 0);
-        ctx.gauge("engine.pgmrpl", pgmrpl.0);
-        ctx.gauge("engine.inflight_batches", self.tracker.outstanding() as u64);
-        ctx.trace_instant("engine.ship", span, reason as u64, records.len() as u64);
+        ctx.trace_instant(name!("wm.pgmrpl"), span, pgmrpl.0, 0);
+        ctx.gauge(name!("engine.pgmrpl"), pgmrpl.0);
+        ctx.gauge(
+            name!("engine.inflight_batches"),
+            self.tracker.outstanding() as u64,
+        );
+        ctx.trace_instant(
+            name!("engine.ship"),
+            span,
+            reason as u64,
+            records.len() as u64,
+        );
         // shard by PG (§5) and ship to all six replicas of each PG —
         // each PG's shard is assembled once and every send (and any later
         // retransmission) shares the same allocation
@@ -1058,7 +991,7 @@ impl EngineActor {
                         pgmrpl,
                     },
                 );
-                ctx.inc_id(ids.log_write_ios, 1);
+                ctx.inc(name!("engine.log_write_ios"), 1);
             }
         }
         self.outstanding.insert(
@@ -1088,8 +1021,8 @@ impl EngineActor {
                 },
             );
         }
-        ctx.inc_id(ids.batches, 1);
-        ctx.inc_id(ids.records_shipped, record_count as u64);
+        ctx.inc(name!("engine.batches"), 1);
+        ctx.inc(name!("engine.records_shipped"), record_count as u64);
     }
 
     /// The ship-policy decision point, run after every staging step (and
@@ -1137,22 +1070,21 @@ impl EngineActor {
     // ---- VDL advance reactions ----
 
     fn on_vdl_advance(&mut self, ctx: &mut Ctx<'_>, vdl: Lsn) {
-        let ids = self.hot(ctx);
         self.alloc.advance_vdl(vdl);
-        ctx.trace_instant("wm.vdl", SpanId::NONE, vdl.0, 0);
-        ctx.gauge("engine.vdl", vdl.0);
+        ctx.trace_instant(name!("wm.vdl"), SpanId::NONE, vdl.0, 0);
+        ctx.gauge(name!("engine.vdl"), vdl.0);
         // complete asynchronous commits (§4.2.2)
         let ready: Vec<Lsn> = self.commit_waiters.range(..=vdl).map(|(l, _)| *l).collect();
         let now = ctx.now();
         for lsn in ready {
             for pc in self.commit_waiters.remove(&lsn).unwrap() {
                 let latency = now.since(pc.issued_at).nanos();
-                ctx.record_id(ids.txn_ns, latency);
+                ctx.record(name!("engine.txn_ns"), latency);
                 if pc.is_write {
-                    ctx.record_id(ids.commit_ns, latency);
+                    ctx.record(name!("engine.commit_ns"), latency);
                 }
-                ctx.inc_id(ids.commits, 1);
-                ctx.trace_end("engine.commit", pc.span, lsn.0, latency);
+                ctx.inc(name!("engine.commits"), 1);
+                ctx.trace_end(name!("engine.commit"), pc.span, lsn.0, latency);
                 ctx.send(
                     pc.client,
                     ClientResponse {
@@ -1249,7 +1181,6 @@ impl EngineActor {
     /// Execute the op at `pc` (after its CPU slice, a page arrival, a lock
     /// grant, or a LAL release).
     fn exec_current_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let ids = self.hot(ctx);
         let Some(rt) = self.running.get(&conn) else {
             return;
         };
@@ -1265,7 +1196,7 @@ impl EngineActor {
             match self.locks.acquire(key, txn) {
                 LockOutcome::Granted => {}
                 LockOutcome::Queued => {
-                    ctx.inc_id(ids.lock_waits, 1);
+                    ctx.inc(name!("engine.lock_waits"), 1);
                     let now = ctx.now();
                     if let Some(rt) = self.running.get_mut(&conn) {
                         rt.phase = Phase::LockWait { key, since: now };
@@ -1278,17 +1209,17 @@ impl EngineActor {
         match self.try_exec_op(conn, &op) {
             Ok(result) => {
                 let kind = match &op {
-                    Op::Get(_) => ids.select_ns,
-                    Op::Scan(_, _) => ids.scan_ns,
-                    Op::Insert(_, _) => ids.insert_ns,
-                    Op::Update(_, _) | Op::Upsert(_, _) => ids.update_ns,
-                    Op::Delete(_) => ids.delete_ns,
+                    Op::Get(_) => name!("engine.select_ns"),
+                    Op::Scan(_, _) => name!("engine.scan_ns"),
+                    Op::Insert(_, _) => name!("engine.insert_ns"),
+                    Op::Update(_, _) | Op::Upsert(_, _) => name!("engine.update_ns"),
+                    Op::Delete(_) => name!("engine.delete_ns"),
                 };
                 let rt = self.running.get_mut(&conn).unwrap();
                 let elapsed = ctx.now().since(rt.op_started).nanos();
                 rt.results.push(result);
                 rt.pc += 1;
-                ctx.record_id(kind, elapsed);
+                ctx.record(kind, elapsed);
                 self.maybe_flush(ctx);
                 self.start_op(ctx, conn);
             }
@@ -1303,7 +1234,7 @@ impl EngineActor {
                     rt.phase = Phase::LalWait;
                 }
                 self.lal_waiters.push_back(conn);
-                ctx.inc_id(ids.lal_stalls, 1);
+                ctx.inc(name!("engine.lal_stalls"), 1);
             }
             Err(ExecStall::Abort(reason)) => {
                 self.abort_txn(ctx, conn, reason);
@@ -1458,16 +1389,18 @@ impl EngineActor {
             self.locks.release_all(rt.txn);
             self.resume_lock_waiters(ctx);
             self.flush_staging(ctx, ShipReason::Forced);
-            ctx.inc("engine.rollbacks_completed", 1);
+            ctx.inc(name!("engine.rollbacks_completed"), 1);
             self.after_txn_end(ctx);
             return;
         }
         if !rt.wrote {
             // read-only: respond immediately, nothing to make durable
-            let ids = self.hot(ctx);
-            ctx.inc_id(ids.read_txns, 1);
-            ctx.inc_id(ids.commits, 1);
-            ctx.record_id(ids.txn_ns, ctx.now().since(rt.issued_at).nanos());
+            ctx.inc(name!("engine.read_txns"), 1);
+            ctx.inc(name!("engine.commits"), 1);
+            ctx.record(
+                name!("engine.txn_ns"),
+                ctx.now().since(rt.issued_at).nanos(),
+            );
             ctx.send(
                 rt.client,
                 ClientResponse {
@@ -1482,13 +1415,13 @@ impl EngineActor {
         // write txn: log the commit record; ack when VDL covers it
         match self.seal_mtr(rt.txn, vec![RecordBody::TxnCommit]) {
             Ok((_, commit_lsn)) => {
-                let ids = self.hot(ctx);
-                ctx.inc_id(ids.write_txns, 1);
+                ctx.inc(name!("engine.write_txns"), 1);
                 // early lock release is safe: the VDL advances in LSN
                 // order, so a dependent commit can never out-run this one
                 self.locks.release_all(rt.txn);
                 self.resume_lock_waiters(ctx);
-                let span = ctx.trace_begin("engine.commit", SpanId::NONE, commit_lsn.0, rt.txn.0);
+                let span =
+                    ctx.trace_begin(name!("engine.commit"), SpanId::NONE, commit_lsn.0, rt.txn.0);
                 self.commit_waiters
                     .entry(commit_lsn)
                     .or_default()
@@ -1521,12 +1454,12 @@ impl EngineActor {
         };
         if rt.rollback {
             // a rollback op failed (should not happen) — drop it, free locks
-            ctx.inc("engine.rollback_errors", 1);
+            ctx.inc(name!("engine.rollback_errors"), 1);
             self.locks.release_all(rt.txn);
             self.resume_lock_waiters(ctx);
             return;
         }
-        ctx.inc("engine.aborts", 1);
+        ctx.inc(name!("engine.aborts"), 1);
         ctx.send(
             rt.client,
             ClientResponse {
@@ -1597,7 +1530,7 @@ impl EngineActor {
         self.status = EngineStatus::Patching;
         self.engine_version = version;
         ctx.set_timer(self.cfg.zdp_pause, TAG_ZDP_RESUME);
-        ctx.inc("engine.zdp_patches", 1);
+        ctx.inc(name!("engine.zdp_patches"), 1);
         ctx.send(
             requester,
             ZdpDone {
@@ -1637,8 +1570,7 @@ impl EngineActor {
             },
         );
         let node = self.membership(pg).slots[target.replica as usize];
-        let ids = self.hot(ctx);
-        ctx.inc_id(ids.page_fetches, 1);
+        ctx.inc(name!("engine.page_fetches"), 1);
         ctx.send(
             node,
             swire::ReadPageReq {
@@ -1710,12 +1642,14 @@ impl EngineActor {
             return; // stale retry
         };
         self.page_waits.remove(&pr.page);
-        let ids = self.hot(ctx);
-        ctx.record_id(ids.page_fetch_ns, ctx.now().since(pr.sent_at).nanos());
+        ctx.record(
+            name!("engine.page_fetch_ns"),
+            ctx.now().since(pr.sent_at).nanos(),
+        );
         // DST snapshot-safety oracle tap: a storage node must never serve
         // a page image materialized past the requested read point.
         if resp.page.lsn > pr.read_point {
-            ctx.inc("oracle.read_past_read_point", 1);
+            ctx.inc(name!("oracle.read_past_read_point"), 1);
         }
         let vdl = self.tracker.vdl();
         if let Err(page) = self.pool.insert(resp.page_id, resp.page, vdl) {
@@ -1744,11 +1678,10 @@ impl EngineActor {
         let changed = new_state != h.state;
         h.state = new_state;
         let wants_report = new_state == HealthState::Degraded && !h.reported;
-        let ids = self.hot(ctx);
-        ctx.inc_id(ids.health_strikes, 1);
+        ctx.inc(name!("engine.health_strikes"), 1);
         if changed {
             ctx.trace_instant(
-                "engine.health",
+                name!("engine.health"),
                 SpanId::NONE,
                 health_key(segment),
                 new_state as u64,
@@ -1775,8 +1708,13 @@ impl EngineActor {
             if let Some(h) = self.health.get_mut(&segment) {
                 h.reported = true;
             }
-            ctx.inc_id(ids.suspect_reports, 1);
-            ctx.trace_instant("engine.suspect", SpanId::NONE, health_key(segment), 0);
+            ctx.inc(name!("engine.suspect_reports"), 1);
+            ctx.trace_instant(
+                name!("engine.suspect"),
+                SpanId::NONE,
+                health_key(segment),
+                0,
+            );
             let node = self.membership(segment.pg).slots[segment.replica as usize];
             ctx.send(control, swire::SuspectReport { segment, node });
         }
@@ -1806,7 +1744,7 @@ impl EngineActor {
         }
         if changed {
             ctx.trace_instant(
-                "engine.health",
+                name!("engine.health"),
                 SpanId::NONE,
                 health_key(segment),
                 new_state as u64,
@@ -1833,7 +1771,7 @@ impl EngineActor {
         }
         for seg in cleared {
             ctx.trace_instant(
-                "engine.health",
+                name!("engine.health"),
                 SpanId::NONE,
                 health_key(seg),
                 HealthState::Healthy as u64,
@@ -1860,7 +1798,7 @@ impl EngineActor {
         // locks and send responses, both of which must replay identically.
         timed_out.sort_unstable();
         for conn in timed_out {
-            ctx.inc("engine.lock_timeouts", 1);
+            ctx.inc(name!("engine.lock_timeouts"), 1);
             self.abort_txn(ctx, conn, "lock wait timeout".into());
         }
         let mut expired: Vec<u64> = self
@@ -1895,7 +1833,7 @@ impl EngineActor {
         pr.sent_at = now;
         pr.target = target;
         pr.attempts += 1;
-        ctx.inc("engine.read_retries", 1);
+        ctx.inc(name!("engine.read_retries"), 1);
         ctx.send(
             node,
             swire::ReadPageReq {
@@ -1962,7 +1900,7 @@ impl EngineActor {
                 }
             }
             for (node, wb) in sends {
-                ctx.inc("engine.log_write_retransmits", 1);
+                ctx.inc(name!("engine.log_write_retransmits"), 1);
                 ctx.send(node, wb);
             }
             self.outstanding.get_mut(&batch_end).unwrap().last_sent = now;
@@ -1995,7 +1933,6 @@ impl EngineActor {
     ///    not advance the backoff clock and each backoff window hedges at
     ///    most once.
     fn retransmit_hedged(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let ids = self.hot(ctx);
         let mut node_budget: BTreeMap<NodeId, usize> = BTreeMap::new();
         let cap = self.cfg.retransmit_node_cap.max(1);
 
@@ -2045,7 +1982,7 @@ impl EngineActor {
                 self.strike(ctx, seg);
             }
             for (node, wb) in sends {
-                ctx.inc_id(ids.retransmits, 1);
+                ctx.inc(name!("engine.log_write_retransmits"), 1);
                 ctx.send(node, wb);
             }
             let attempts;
@@ -2123,7 +2060,7 @@ impl EngineActor {
             }
             let shipped = !sends.is_empty();
             for (node, wb) in sends {
-                ctx.inc_id(ids.hedged_ships, 1);
+                ctx.inc(name!("engine.hedged_ships"), 1);
                 ctx.send(node, wb);
             }
             let ob = self.outstanding.get_mut(&batch_end).unwrap();
@@ -2182,7 +2119,7 @@ impl EngineActor {
             ctx.set_timer(SimDuration::from_millis(2), TAG_BOOTSTRAP);
         } else {
             self.status = EngineStatus::Ready;
-            ctx.inc("engine.bootstrap_rows", rows);
+            ctx.inc(name!("engine.bootstrap_rows"), rows);
         }
     }
 
@@ -2192,7 +2129,7 @@ impl EngineActor {
         self.status = EngineStatus::Recovering;
         let rec = RecoveryState {
             started: ctx.now(),
-            span: ctx.trace_begin("engine.recovery", SpanId::NONE, 0, 0),
+            span: ctx.trace_begin(name!("engine.recovery"), SpanId::NONE, 0, 0),
             ..Default::default()
         };
         for m in self.cfg.memberships.clone() {
@@ -2244,7 +2181,7 @@ impl EngineActor {
                 .min()
                 .unwrap_or(Lsn::ZERO);
             rec.vcl = Some(vcl);
-            ctx.trace_instant("wm.vcl", rec.span, vcl.0, 0);
+            ctx.trace_instant(name!("wm.vcl"), rec.span, vcl.0, 0);
             let reqs: Vec<(NodeId, swire::CplBelowReq)> = self
                 .cfg
                 .memberships
@@ -2278,7 +2215,7 @@ impl EngineActor {
             }
             let vdl = rec.cpls.values().copied().max().unwrap_or(Lsn::ZERO);
             rec.vdl = Some(vdl);
-            ctx.trace_instant("wm.vdl", rec.span, vdl.0, 0);
+            ctx.trace_instant(name!("wm.vdl"), rec.span, vdl.0, 0);
             let new_epoch = rec.max_epoch.next();
             // provably above any LSN the dead incarnation could have issued
             let ceiling = Lsn(vdl.0 + self.cfg.lal + LAL_DEFAULT);
@@ -2411,10 +2348,13 @@ impl EngineActor {
             }
         }
         self.flush_staging(ctx, ShipReason::Forced);
-        ctx.inc("engine.recoveries", 1);
-        ctx.inc("engine.recovery_undone_ops", n_undone as u64);
-        ctx.record("engine.recovery_ns", ctx.now().since(started).nanos());
-        ctx.trace_end("engine.recovery", rec_span, vdl.0, n_undone as u64);
+        ctx.inc(name!("engine.recoveries"), 1);
+        ctx.inc(name!("engine.recovery_undone_ops"), n_undone as u64);
+        ctx.record(
+            name!("engine.recovery_ns"),
+            ctx.now().since(started).nanos(),
+        );
+        ctx.trace_end(name!("engine.recovery"), rec_span, vdl.0, n_undone as u64);
     }
 
     /// Every 50ms while recovering, re-drive whichever phase is stalled.
@@ -2527,7 +2467,6 @@ impl EngineActor {
     fn on_storage_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Msg) {
         let msg = match msg.downcast::<swire::WriteAck>() {
             Ok(ack) => {
-                let ids = self.hot(ctx);
                 self.scls.insert(ack.segment, ack.scl);
                 let mut fresh_ack_ns = None;
                 if let Some(ob) = self.outstanding.get_mut(&ack.batch_end) {
@@ -2535,7 +2474,7 @@ impl EngineActor {
                     // chaos, regenerated by a retransmit) records nothing
                     if ob.acked.insert((ack.segment.pg.0, ack.segment.replica)) {
                         let ack_latency = ctx.now().since(ob.last_sent).nanos();
-                        ctx.record_id(ids.ack_ns, ack_latency);
+                        ctx.record(name!("engine.ack_ns"), ack_latency);
                         fresh_ack_ns = Some(ack_latency);
                     }
                 }
@@ -2555,7 +2494,7 @@ impl EngineActor {
                     if first <= durable_to {
                         if let Some(ob) = self.outstanding.remove(&first) {
                             ctx.trace_end(
-                                "engine.batch_quorum",
+                                name!("engine.batch_quorum"),
                                 ob.span,
                                 first.0,
                                 ob.acked.len() as u64,
@@ -2577,7 +2516,7 @@ impl EngineActor {
                 if f.epoch > self.epoch && self.status == EngineStatus::Ready {
                     // a newer writer owns the volume: step down immediately;
                     // in-flight transactions will never be acknowledged
-                    ctx.inc("engine.fenced", 1);
+                    ctx.inc(name!("engine.fenced"), 1);
                     self.status = EngineStatus::Standby;
                     let mut conns: Vec<u64> = self.running.keys().copied().collect();
                     conns.sort_unstable();
@@ -2773,7 +2712,7 @@ impl EngineActor {
                     .get(&nack.req_id)
                     .is_none_or(|pr| pr.target != nack.segment);
                 if !stale {
-                    ctx.inc("engine.read_nacks", 1);
+                    ctx.inc(name!("engine.read_nacks"), 1);
                     self.strike(ctx, nack.segment);
                     self.retry_read(ctx, nack.req_id, Some(nack.segment.replica));
                 }
@@ -2787,7 +2726,7 @@ impl EngineActor {
             // durable truncation range; the batch itself is retransmitted
             // by the regular outstanding-write sweep.
             if let Some(range) = self.last_truncation {
-                ctx.inc("engine.epoch_replays", 1);
+                ctx.inc(name!("engine.epoch_replays"), 1);
                 ctx.send(
                     from,
                     swire::Truncate {
@@ -2829,7 +2768,7 @@ impl Actor for EngineActor {
                     // counted even when staging is empty: the tick cadence
                     // itself is the observable for the double-armed-timer
                     // regression test
-                    ctx.inc("engine.flush_ticks", 1);
+                    ctx.inc(name!("engine.flush_ticks"), 1);
                     self.flush_timer = None;
                     self.flush_staging(ctx, ShipReason::Deadline);
                     if self.cfg.ship_policy == ShipPolicy::FixedInterval {

@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 
-use aurora_sim::{Actor, ActorEvent, Ctx, FxHashMap, NodeId, SimDuration, SimTime, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, FxHashMap, NodeId, SimDuration, SimTime, Tag};
 
 use crate::wire::{ClientRequest, ClientResponse, TxnResult};
 
@@ -205,7 +205,7 @@ impl ProxyActor {
         if self.seen[word] & bit == 0 {
             self.seen[word] |= bit;
             self.sessions_seen += 1;
-            ctx.inc("proxy.sessions", 1);
+            ctx.inc(name!("proxy.sessions"), 1);
         }
     }
 
@@ -213,7 +213,7 @@ impl ProxyActor {
         // Attribute the shed to the shard that was overloaded (owner =
         // that shard's writer engine) so per-shard telemetry rollups can
         // show *which* shard degraded, not just that the fleet shed.
-        ctx.inc_for(self.cfg.shards[shard], "proxy.shard_sheds", 1);
+        ctx.inc_for(self.cfg.shards[shard], name!("proxy.shard_sheds"), 1);
         ctx.send(
             origin,
             ClientResponse {
@@ -227,20 +227,20 @@ impl ProxyActor {
     fn forward(&mut self, ctx: &mut Ctx<'_>, shard: usize, origin: NodeId, req: ClientRequest) {
         self.pending.insert(req.conn, (origin, shard as u32));
         self.lanes[shard].in_flight += 1;
-        ctx.inc("proxy.forwarded", 1);
-        ctx.inc_for(self.cfg.shards[shard], "proxy.shard_forwarded", 1);
+        ctx.inc(name!("proxy.forwarded"), 1);
+        ctx.inc_for(self.cfg.shards[shard], name!("proxy.shard_forwarded"), 1);
         ctx.send(self.cfg.shards[shard], req);
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<'_>, origin: NodeId, req: ClientRequest) {
-        ctx.inc("proxy.requests", 1);
+        ctx.inc(name!("proxy.requests"), 1);
         self.note_session(ctx, req.conn);
         let shard = self.ring.shard_of(req.txn.routing_key());
         let lane = &self.lanes[shard];
         if lane.in_flight < self.cfg.slots_per_shard {
             self.forward(ctx, shard, origin, req);
         } else if lane.queue.len() < self.cfg.queue_watermark {
-            ctx.inc("proxy.queued", 1);
+            ctx.inc(name!("proxy.queued"), 1);
             let lane = &mut self.lanes[shard];
             lane.queue.push_back(Queued {
                 origin,
@@ -249,7 +249,7 @@ impl ProxyActor {
             });
             self.queue_high_water = self.queue_high_water.max(lane.queue.len());
         } else {
-            ctx.inc("proxy.shed_full", 1);
+            ctx.inc(name!("proxy.shed_full"), 1);
             self.shed(ctx, shard, origin, &req, "shed: admission queue full");
         }
     }
@@ -264,11 +264,11 @@ impl ProxyActor {
             };
             let waited = ctx.now().since(q.enqueued);
             if waited > self.cfg.queue_deadline {
-                ctx.inc("proxy.shed_deadline", 1);
+                ctx.inc(name!("proxy.shed_deadline"), 1);
                 self.shed(ctx, shard, q.origin, &q.req, "shed: queue deadline");
                 continue;
             }
-            ctx.record("proxy.queue_ns", waited.nanos());
+            ctx.record(name!("proxy.queue_ns"), waited.nanos());
             self.forward(ctx, shard, q.origin, q.req);
         }
     }
@@ -279,7 +279,7 @@ impl ProxyActor {
         };
         let shard = shard as usize;
         self.lanes[shard].in_flight = self.lanes[shard].in_flight.saturating_sub(1);
-        ctx.inc("proxy.responses", 1);
+        ctx.inc(name!("proxy.responses"), 1);
         ctx.send(origin, resp);
         self.drain(ctx, shard);
     }
@@ -297,7 +297,7 @@ impl ProxyActor {
                     break;
                 }
                 let q = self.lanes[shard].queue.pop_front().expect("peeked");
-                ctx.inc("proxy.shed_deadline", 1);
+                ctx.inc(name!("proxy.shed_deadline"), 1);
                 self.shed(ctx, shard, q.origin, &q.req, "shed: queue deadline");
             }
         }
@@ -309,8 +309,8 @@ impl ProxyActor {
             .fold((0u64, 0u64), |(f, q), l| {
                 (f + l.in_flight as u64, q + l.queue.len() as u64)
             });
-        ctx.gauge("proxy.in_flight", in_flight);
-        ctx.gauge("proxy.queued_depth", queued);
+        ctx.gauge(name!("proxy.in_flight"), in_flight);
+        ctx.gauge(name!("proxy.queued_depth"), queued);
         ctx.set_timer(self.cfg.sweep_every, TAG_SWEEP);
     }
 }

@@ -41,7 +41,7 @@ pub mod trace;
 pub use dist::Dist;
 pub use fault::{BrownoutSpec, FaultAction, FaultPlan, FaultPlanError, PacketChaos};
 pub use hash::{FxHashMap, FxHashSet};
-pub use metrics::{Histogram, MetricId, MetricsRegistry};
+pub use metrics::{Histogram, MetricsRegistry, Name};
 pub use msg::{Msg, Payload};
 pub use net::{LinkSpec, NetPolicy, NetStats};
 pub use probe::{Probe, Relay};

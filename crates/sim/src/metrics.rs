@@ -1,4 +1,5 @@
-//! Counters and histograms for the simulation.
+//! Counters and histograms for the simulation, and the name table every
+//! instrumentation point resolves through.
 //!
 //! The experiment harness reads everything it reports — throughput, network
 //! IOs per transaction, P50/P95 latencies, replica lag — out of this
@@ -6,18 +7,17 @@
 //! each split into 16 linear sub-buckets), which keeps relative error under
 //! ~6% across the nanosecond-to-minute range we record.
 //!
-//! Metric names are `&'static str` at the API surface but are interned to
-//! dense `u32` ids internally: the first touch of a name resolves it
-//! through a pointer-keyed map (string literals have stable addresses, so
-//! repeat touches never hash the string content), and counter storage is a
-//! dense `Vec<u64>` per owner. Hot actors can go one step further and
-//! cache a [`MetricId`] so the per-event cost is a bounds-checked add.
-//! Interning survives [`MetricsRegistry::clear`], so handles resolved
-//! before a warm-up boundary stay valid after it.
+//! Writers name what they record with a [`Name`] descriptor, normally
+//! declared at the call site with [`name!`]. A descriptor resolves its
+//! `&'static str` to a dense `u32` id once per process through a single
+//! write-once table, then caches the id, so a write is an atomic load and
+//! a bounds-checked add. Counters, histograms, gauges, trace kinds and
+//! message classes share the table. Readers keep taking `&str`; ids never
+//! reach an output, and every export is sorted by name.
 
-use std::collections::HashMap;
-
-pub(crate) use crate::hash::FxHashMap as FxMap;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// A log-bucketed histogram of `u64` values (we record nanoseconds).
 #[derive(Debug, Clone)]
@@ -377,37 +377,120 @@ pub(crate) fn sparse_quantile(slots: &[(u32, u64)], total: u64, min: u64, max: u
     max
 }
 
-/// An interned metric name: a dense index into the registry's tables.
-/// Resolve once with [`MetricsRegistry::metric_id`] (or `Ctx::metric_id`)
-/// and use `inc_id`/`record_id` in hot loops. Ids are stable across
-/// [`MetricsRegistry::clear`] but are only meaningful for the registry
-/// that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(pub(crate) u32);
+/// A named instrumentation point: a counter, histogram, gauge, trace kind
+/// or message class. The name resolves to its id on first use and the id
+/// is cached in the descriptor, so later writes never touch the table.
+/// Two descriptors with the same name share one id.
+pub struct Name {
+    name: &'static str,
+    id: AtomicU32,
+}
+
+const UNRESOLVED: u32 = u32::MAX;
+
+impl Name {
+    pub const fn new(name: &'static str) -> Name {
+        Name {
+            name,
+            id: AtomicU32::new(UNRESOLVED),
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The dense id, resolving it through the name table on first use.
+    #[inline]
+    pub(crate) fn id(&self) -> u32 {
+        // Acquire pairs with the Release store below: a thread that sees
+        // the id also sees the table entry written before it.
+        let id = self.id.load(Ordering::Acquire);
+        if id != UNRESOLVED {
+            id
+        } else {
+            self.resolve()
+        }
+    }
+
+    #[cold]
+    fn resolve(&self) -> u32 {
+        let mut t = TABLE.write().expect("name table lock poisoned");
+        let next = t.names.len() as u32;
+        let id = *t.ids.entry(self.name).or_insert(next);
+        if id == next {
+            t.names.push(self.name);
+        }
+        drop(t);
+        self.id.store(id, Ordering::Release);
+        id
+    }
+}
+
+/// Prints the name only: ids never reach an output.
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Name").field(&self.name).finish()
+    }
+}
+
+/// Declare a [`Name`] in place: `ctx.inc(name!("engine.commits"), 1)`.
+/// Expands to a reference to a per-call-site static.
+#[macro_export]
+macro_rules! name {
+    ($name:literal) => {{
+        static NAME: $crate::Name = $crate::Name::new($name);
+        &NAME
+    }};
+}
+
+/// The process-wide name table: ids are dense and assigned in first-use
+/// order, which varies with thread scheduling, so nothing may emit or
+/// order by them.
+pub(crate) struct NameTable {
+    names: Vec<&'static str>,
+    ids: BTreeMap<&'static str, u32>,
+}
+
+static TABLE: RwLock<NameTable> = RwLock::new(NameTable {
+    names: Vec::new(),
+    ids: BTreeMap::new(),
+});
+
+impl NameTable {
+    /// The table for reading. Do not resolve a [`Name`] while holding it.
+    pub(crate) fn read() -> RwLockReadGuard<'static, NameTable> {
+        TABLE.read().expect("name table lock poisoned")
+    }
+
+    pub(crate) fn names(&self) -> &[&'static str] {
+        &self.names
+    }
+}
+
+/// The id of an already-resolved name (readers never intern).
+pub(crate) fn lookup(name: &str) -> Option<u32> {
+    NameTable::read().ids.get(name).copied()
+}
 
 /// Registry of named counters and histograms, keyed by `(owner, name)`.
 /// `owner` is a node id in practice; `u32::MAX` is used for global metrics.
+/// Tables are dense by name id; rows grow on first write.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    /// Fast path: `&'static str` address -> id. Literals have one address
-    /// per crate at least; duplicates fall through to `by_name` once.
-    by_ptr: FxMap<(usize, usize), u32>,
-    /// Content-keyed map: the source of truth for name -> id.
-    by_name: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-    /// counters[owner_slot][metric_id]; slot 0 is GLOBAL, slot n+1 node n.
+    /// counters[owner_slot][id]; slot 0 is GLOBAL, slot n+1 node n.
     counters: Vec<Vec<u64>>,
     /// `true` once any owner touched the id since the last clear — keeps
     /// `counter_names` faithful to the old map-of-entries behaviour.
     counter_touched: Vec<bool>,
     histograms: Vec<Vec<Option<Box<Histogram>>>>,
-    /// hist_totals[owner_slot][metric_id] mirrors `histograms[s][i].count()`
+    /// hist_totals[owner_slot][id] mirrors `histograms[s][i].count()`
     /// densely. The telemetry sampler's per-window scan compares these rows
     /// against its own mirror sequentially and only dereferences the boxed
     /// histograms that actually changed — chasing every `Box<Histogram>`
     /// just to read its count costs two cold cache lines per pair.
     hist_totals: Vec<Vec<u64>>,
-    /// gauges[owner_slot][metric_id]: last-write-wins point-in-time values
+    /// gauges[owner_slot][id]: last-write-wins point-in-time values
     /// (queue depths, watermarks, repair counts). `None` = never set, so a
     /// telemetry window can tell "no reading" apart from a real 0.
     gauges: Vec<Vec<Option<u64>>>,
@@ -425,62 +508,40 @@ fn slot(owner: u32) -> usize {
     }
 }
 
+/// `table[slot(owner)][id]`, growing either dimension on demand.
+#[inline]
+fn cell<T: Clone + Default>(table: &mut Vec<Vec<T>>, owner: u32, id: u32) -> &mut T {
+    let (s, i) = (slot(owner), id as usize);
+    if s >= table.len() {
+        table.resize_with(s + 1, Vec::new);
+    }
+    let row = &mut table[s];
+    if i >= row.len() {
+        row.resize(i + 1, T::default());
+    }
+    &mut row[i]
+}
+
 impl MetricsRegistry {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Intern a metric name to a dense id (idempotent).
-    pub fn metric_id(&mut self, name: &'static str) -> MetricId {
-        let key = (name.as_ptr() as usize, name.len());
-        if let Some(&id) = self.by_ptr.get(&key) {
-            return MetricId(id);
-        }
-        let id = match self.by_name.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.names.len() as u32;
-                self.names.push(name);
-                self.by_name.insert(name, id);
-                self.counter_touched.push(false);
-                id
-            }
-        };
-        self.by_ptr.insert(key, id);
-        MetricId(id)
-    }
-
-    /// Look up an already-interned name without mutating (readers).
-    fn lookup(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
-    }
-
     /// Add `v` to a counter.
     #[inline]
-    pub fn inc(&mut self, owner: u32, name: &'static str, v: u64) {
-        let id = self.metric_id(name);
-        self.inc_id(owner, id, v);
-    }
-
-    /// Add `v` to a counter through a pre-resolved handle (no hashing).
-    #[inline]
-    pub fn inc_id(&mut self, owner: u32, id: MetricId, v: u64) {
-        let s = slot(owner);
-        let i = id.0 as usize;
-        if s >= self.counters.len() {
-            self.counters.resize_with(s + 1, Vec::new);
+    pub fn inc(&mut self, owner: u32, name: &Name, v: u64) {
+        let id = name.id();
+        *cell(&mut self.counters, owner, id) += v;
+        let i = id as usize;
+        if i >= self.counter_touched.len() {
+            self.counter_touched.resize(i + 1, false);
         }
-        let row = &mut self.counters[s];
-        if i >= row.len() {
-            row.resize(self.names.len().max(i + 1), 0);
-        }
-        row[i] += v;
         self.counter_touched[i] = true;
     }
 
     /// Read a counter (0 if never written).
     pub fn counter(&self, owner: u32, name: &'static str) -> u64 {
-        let Some(id) = self.lookup(name) else {
+        let Some(id) = lookup(name) else {
             return 0;
         };
         self.counters
@@ -492,7 +553,7 @@ impl MetricsRegistry {
 
     /// Sum of a counter across all owners.
     pub fn counter_total(&self, name: &'static str) -> u64 {
-        let Some(id) = self.lookup(name) else {
+        let Some(id) = lookup(name) else {
             return 0;
         };
         self.counters
@@ -503,59 +564,23 @@ impl MetricsRegistry {
 
     /// Record into a histogram.
     #[inline]
-    pub fn record(&mut self, owner: u32, name: &'static str, value: u64) {
-        let id = self.metric_id(name);
-        self.record_id(owner, id, value);
-    }
-
-    /// Record into a histogram through a pre-resolved handle.
-    #[inline]
-    pub fn record_id(&mut self, owner: u32, id: MetricId, value: u64) {
-        let s = slot(owner);
-        let i = id.0 as usize;
-        if s >= self.histograms.len() {
-            self.histograms.resize_with(s + 1, Vec::new);
-        }
-        let row = &mut self.histograms[s];
-        if i >= row.len() {
-            row.resize_with(self.names.len().max(i + 1), || None);
-        }
-        row[i].get_or_insert_with(Default::default).record(value);
-        if s >= self.hist_totals.len() {
-            self.hist_totals.resize_with(s + 1, Vec::new);
-        }
-        let totals = &mut self.hist_totals[s];
-        if i >= totals.len() {
-            totals.resize(self.names.len().max(i + 1), 0);
-        }
-        totals[i] += 1;
+    pub fn record(&mut self, owner: u32, name: &Name, value: u64) {
+        let id = name.id();
+        cell(&mut self.histograms, owner, id)
+            .get_or_insert_with(Default::default)
+            .record(value);
+        *cell(&mut self.hist_totals, owner, id) += 1;
     }
 
     /// Set a gauge to its current reading (last write wins).
     #[inline]
-    pub fn set_gauge(&mut self, owner: u32, name: &'static str, value: u64) {
-        let id = self.metric_id(name);
-        self.set_gauge_id(owner, id, value);
-    }
-
-    /// Set a gauge through a pre-resolved handle (no hashing).
-    #[inline]
-    pub fn set_gauge_id(&mut self, owner: u32, id: MetricId, value: u64) {
-        let s = slot(owner);
-        let i = id.0 as usize;
-        if s >= self.gauges.len() {
-            self.gauges.resize_with(s + 1, Vec::new);
-        }
-        let row = &mut self.gauges[s];
-        if i >= row.len() {
-            row.resize(self.names.len().max(i + 1), None);
-        }
-        row[i] = Some(value);
+    pub fn set_gauge(&mut self, owner: u32, name: &Name, value: u64) {
+        *cell(&mut self.gauges, owner, name.id()) = Some(value);
     }
 
     /// Read a gauge, `None` if it was never set (or cleared since).
     pub fn gauge(&self, owner: u32, name: &'static str) -> Option<u64> {
-        let id = self.lookup(name)?;
+        let id = lookup(name)?;
         self.gauges
             .get(slot(owner))?
             .get(id as usize)
@@ -566,12 +591,13 @@ impl MetricsRegistry {
     /// Deterministic dump of every set gauge as `(owner, name, value)`,
     /// sorted by `(owner, name)`.
     pub fn gauges_snapshot(&self) -> Vec<(u32, &'static str, u64)> {
+        let table = NameTable::read();
         let mut out = Vec::new();
         for (s, row) in self.gauges.iter().enumerate() {
             let owner = if s == 0 { GLOBAL } else { (s - 1) as u32 };
             for (i, v) in row.iter().enumerate() {
                 if let Some(v) = v {
-                    out.push((owner, self.names[i], *v));
+                    out.push((owner, table.names[i], *v));
                 }
             }
         }
@@ -581,7 +607,7 @@ impl MetricsRegistry {
 
     /// Read a histogram, if any values were recorded.
     pub fn histogram(&self, owner: u32, name: &'static str) -> Option<&Histogram> {
-        let id = self.lookup(name)?;
+        let id = lookup(name)?;
         self.histograms
             .get(slot(owner))?
             .get(id as usize)?
@@ -592,7 +618,7 @@ impl MetricsRegistry {
     /// Merged histogram across all owners with this name.
     pub fn histogram_total(&self, name: &'static str) -> Histogram {
         let mut out = Histogram::new();
-        let Some(id) = self.lookup(name) else {
+        let Some(id) = lookup(name) else {
             return out;
         };
         for row in self.histograms.iter() {
@@ -603,8 +629,8 @@ impl MetricsRegistry {
         out
     }
 
-    /// Clear every metric (warm-up boundary). Interned ids stay valid —
-    /// only the recorded values reset.
+    /// Clear every metric (warm-up boundary); only the recorded values
+    /// reset.
     pub fn clear(&mut self) {
         for row in self.counters.iter_mut() {
             row.iter_mut().for_each(|v| *v = 0);
@@ -643,30 +669,18 @@ impl MetricsRegistry {
         &self.gauges
     }
 
-    pub(crate) fn name_of(&self, id: u32) -> &'static str {
-        self.names[id as usize]
-    }
-
-    pub(crate) fn names_len(&self) -> usize {
-        self.names.len()
-    }
-
-    pub(crate) fn lookup_id(&self, name: &str) -> Option<u32> {
-        self.lookup(name)
-    }
-
     /// All counter names currently present (sorted, deduped) — handy for
     /// debugging experiments.
     pub fn counter_names(&self) -> Vec<&'static str> {
+        let table = NameTable::read();
         let mut names: Vec<&'static str> = self
-            .names
+            .counter_touched
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.counter_touched[*i])
-            .map(|(_, n)| *n)
+            .filter(|(_, t)| **t)
+            .map(|(i, _)| table.names[i])
             .collect();
         names.sort_unstable();
-        names.dedup();
         names
     }
 
@@ -674,12 +688,13 @@ impl MetricsRegistry {
     /// `(owner, name, value)`, sorted by `(owner, name)`. The replay
     /// regression tests compare this across same-seed runs bit-for-bit.
     pub fn counters_snapshot(&self) -> Vec<(u32, &'static str, u64)> {
+        let table = NameTable::read();
         let mut out = Vec::new();
         for (s, row) in self.counters.iter().enumerate() {
             let owner = if s == 0 { GLOBAL } else { (s - 1) as u32 };
             for (i, &v) in row.iter().enumerate() {
                 if v != 0 {
-                    out.push((owner, self.names[i], v));
+                    out.push((owner, table.names[i], v));
                 }
             }
         }
@@ -692,6 +707,7 @@ impl MetricsRegistry {
     /// `(owner, name)` — the percentile twin of
     /// [`MetricsRegistry::counters_snapshot`] for latency reports.
     pub fn histograms_snapshot(&self) -> Vec<(u32, &'static str, u64, u64, u64, u64, u64)> {
+        let table = NameTable::read();
         let mut out = Vec::new();
         for (s, row) in self.histograms.iter().enumerate() {
             let owner = if s == 0 { GLOBAL } else { (s - 1) as u32 };
@@ -700,7 +716,7 @@ impl MetricsRegistry {
                     if h.count() > 0 {
                         out.push((
                             owner,
-                            self.names[i],
+                            table.names[i],
                             h.count(),
                             h.p50(),
                             h.p95(),
@@ -986,10 +1002,10 @@ mod tests {
     fn registry_gauges() {
         let mut m = MetricsRegistry::new();
         assert_eq!(m.gauge(1, "depth"), None);
-        m.set_gauge(1, "depth", 42);
-        m.set_gauge(1, "depth", 17); // last write wins
-        m.set_gauge(GLOBAL, "depth", 5);
-        m.set_gauge(2, "vdl", 0);
+        m.set_gauge(1, name!("depth"), 42);
+        m.set_gauge(1, name!("depth"), 17); // last write wins
+        m.set_gauge(GLOBAL, name!("depth"), 5);
+        m.set_gauge(2, name!("vdl"), 0);
         assert_eq!(m.gauge(1, "depth"), Some(17));
         assert_eq!(m.gauge(2, "vdl"), Some(0)); // real zero, not "unset"
         assert_eq!(m.gauge(3, "depth"), None);
@@ -1001,18 +1017,16 @@ mod tests {
         m.clear();
         assert_eq!(m.gauge(1, "depth"), None);
         assert!(m.gauges_snapshot().is_empty());
-        // ids stay valid across clear
-        let id = m.metric_id("depth");
-        m.set_gauge_id(1, id, 9);
+        m.set_gauge(1, name!("depth"), 9);
         assert_eq!(m.gauge(1, "depth"), Some(9));
     }
 
     #[test]
     fn registry_counters() {
         let mut m = MetricsRegistry::new();
-        m.inc(1, "ios", 3);
-        m.inc(2, "ios", 4);
-        m.inc(1, "txns", 1);
+        m.inc(1, name!("ios"), 3);
+        m.inc(2, name!("ios"), 4);
+        m.inc(1, name!("txns"), 1);
         assert_eq!(m.counter(1, "ios"), 3);
         assert_eq!(m.counter(3, "ios"), 0);
         assert_eq!(m.counter_total("ios"), 7);
@@ -1024,8 +1038,8 @@ mod tests {
     #[test]
     fn registry_histograms() {
         let mut m = MetricsRegistry::new();
-        m.record(1, "lat", 10);
-        m.record(2, "lat", 1000);
+        m.record(1, name!("lat"), 10);
+        m.record(2, name!("lat"), 1000);
         assert_eq!(m.histogram(1, "lat").unwrap().count(), 1);
         assert!(m.histogram(9, "lat").is_none());
         let total = m.histogram_total("lat");
@@ -1043,28 +1057,49 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_stable_and_aliased_literals_unify() {
+    fn same_name_descriptors_share_one_id() {
+        static A: Name = Name::new("metrics.test.shared");
+        static B: Name = Name::new("metrics.test.shared");
+        assert_eq!(A.id(), B.id());
+        assert_eq!(A.name(), "metrics.test.shared");
         let mut m = MetricsRegistry::new();
-        let a = m.metric_id("engine.commits");
-        let b = m.metric_id("engine.commits");
-        assert_eq!(a, b);
-        m.inc_id(GLOBAL, a, 2);
-        m.inc(7, "engine.commits", 3);
-        assert_eq!(m.counter_total("engine.commits"), 5);
-        // handles survive a warm-up clear
+        m.inc(GLOBAL, &A, 2);
+        m.inc(7, &B, 3);
+        assert_eq!(m.counter_total("metrics.test.shared"), 5);
+        // descriptors stay resolved across a warm-up clear
         m.clear();
-        assert_eq!(m.counter_total("engine.commits"), 0);
-        m.inc_id(7, b, 1);
-        assert_eq!(m.counter(7, "engine.commits"), 1);
+        assert_eq!(m.counter_total("metrics.test.shared"), 0);
+        m.inc(7, &B, 1);
+        assert_eq!(m.counter(7, "metrics.test.shared"), 1);
+    }
+
+    #[test]
+    fn reading_before_any_write_is_empty() {
+        let mut m = MetricsRegistry::new();
+        // never resolved anywhere in the process
+        assert_eq!(m.counter(1, "metrics.test.never"), 0);
+        assert_eq!(m.counter_total("metrics.test.never"), 0);
+        assert_eq!(m.gauge(1, "metrics.test.never"), None);
+        assert!(m.histogram(1, "metrics.test.never").is_none());
+        assert_eq!(m.histogram_total("metrics.test.never").count(), 0);
+        // resolved, but not written in this registry
+        static R: Name = Name::new("metrics.test.resolved");
+        R.id();
+        assert_eq!(m.counter(1, "metrics.test.resolved"), 0);
+        assert_eq!(m.gauge(1, "metrics.test.resolved"), None);
+        assert!(m.histogram(1, "metrics.test.resolved").is_none());
+        // a write to another owner leaves this one empty
+        m.inc(2, &R, 1);
+        assert_eq!(m.counter(1, "metrics.test.resolved"), 0);
     }
 
     #[test]
     fn snapshot_is_sorted_and_skips_zeroes() {
         let mut m = MetricsRegistry::new();
-        m.inc(2, "b", 1);
-        m.inc(1, "a", 4);
-        m.inc(GLOBAL, "a", 9);
-        m.inc(1, "zero", 0);
+        m.inc(2, name!("b"), 1);
+        m.inc(1, name!("a"), 4);
+        m.inc(GLOBAL, name!("a"), 9);
+        m.inc(1, name!("zero"), 0);
         let snap = m.counters_snapshot();
         assert_eq!(snap, vec![(1, "a", 4), (2, "b", 1), (GLOBAL, "a", 9)]);
     }
@@ -1072,10 +1107,10 @@ mod tests {
     #[test]
     fn histograms_snapshot_is_sorted_and_skips_empties() {
         let mut m = MetricsRegistry::new();
-        m.record(2, "b_ns", 100);
-        m.record(1, "a_ns", 50);
-        m.record(1, "a_ns", 150);
-        m.inc(1, "counter_only", 1);
+        m.record(2, name!("b_ns"), 100);
+        m.record(1, name!("a_ns"), 50);
+        m.record(1, name!("a_ns"), 150);
+        m.inc(1, name!("counter_only"), 1);
         let snap = m.histograms_snapshot();
         assert_eq!(snap.len(), 2);
         let (owner, name, count, p50, _p95, _p99, max) = snap[0];
@@ -1089,7 +1124,7 @@ mod tests {
     #[test]
     fn histogram_after_clear_reports_none() {
         let mut m = MetricsRegistry::new();
-        m.record(1, "lat", 10);
+        m.record(1, name!("lat"), 10);
         m.clear();
         assert!(m.histogram(1, "lat").is_none());
         assert_eq!(m.histogram_total("lat").count(), 0);

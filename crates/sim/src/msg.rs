@@ -13,14 +13,17 @@
 use std::any::Any;
 use std::fmt;
 
+use crate::metrics::Name;
+use crate::name;
+
 /// A message payload that can travel through the simulated network.
 pub trait Payload: Any + fmt::Debug + Send {
     /// Approximate serialized size in bytes, used for bandwidth accounting.
     fn wire_size(&self) -> usize;
 
     /// A short label for per-class network statistics (e.g. `"log_write"`).
-    fn class(&self) -> &'static str {
-        "msg"
+    fn class(&self) -> &'static Name {
+        name!("msg")
     }
 
     /// Clone hook used by the fault-injection layer to duplicate packets.
@@ -36,7 +39,7 @@ pub trait Payload: Any + fmt::Debug + Send {
 pub struct Msg {
     inner: Box<dyn Any + Send>,
     size: usize,
-    class: &'static str,
+    class: &'static Name,
     debug: fn(&(dyn Any + Send), &mut fmt::Formatter<'_>) -> fmt::Result,
     clone: fn(&(dyn Any + Send)) -> Option<Msg>,
 }
@@ -78,7 +81,7 @@ impl Msg {
     }
 
     /// The payload's statistics class.
-    pub fn class(&self) -> &'static str {
+    pub fn class(&self) -> &'static Name {
         self.class
     }
 
@@ -119,8 +122,8 @@ mod tests {
         fn wire_size(&self) -> usize {
             8
         }
-        fn class(&self) -> &'static str {
-            "ping"
+        fn class(&self) -> &'static Name {
+            name!("ping")
         }
     }
 
@@ -136,7 +139,7 @@ mod tests {
     fn roundtrip_downcast() {
         let m = Msg::new(Ping(7));
         assert_eq!(m.wire_size(), 8);
-        assert_eq!(m.class(), "ping");
+        assert_eq!(m.class().name(), "ping");
         assert!(m.is::<Ping>());
         assert!(!m.is::<Pong>());
         assert_eq!(m.downcast::<Ping>().unwrap(), Ping(7));
@@ -154,6 +157,6 @@ mod tests {
         let m = Msg::new(Ping(3));
         assert_eq!(m.downcast_ref::<Ping>(), Some(&Ping(3)));
         assert_eq!(format!("{m:?}"), "Ping(3)");
-        assert_eq!(Msg::new(Pong).class(), "msg");
+        assert_eq!(Msg::new(Pong).class().name(), "msg");
     }
 }

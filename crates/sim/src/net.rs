@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use crate::dist::Dist;
-use crate::metrics::FxMap;
+use crate::metrics::{lookup, Name};
 use crate::rng::SimRng;
 use crate::sim::{NodeId, Zone};
 use crate::time::{SimDuration, SimTime};
@@ -113,18 +113,13 @@ impl NetPolicy {
 /// Per-class and per-node traffic accounting.
 ///
 /// This is on the per-packet fast path (every `Ctx::send` lands here), so
-/// class names are interned through a pointer-keyed map — repeat sends of
-/// the same message class never hash string content — and per-node tallies
-/// live in dense vectors indexed by node id. [`crate::sim::EXTERNAL`]
-/// traffic (injected client requests) gets a dedicated overflow cell
-/// instead of a `u32::MAX`-sized table.
+/// message classes are [`Name`] descriptors indexing a dense table, and
+/// per-node tallies live in dense vectors indexed by node id.
+/// [`crate::sim::EXTERNAL`] traffic (injected client requests) gets a
+/// dedicated overflow cell instead of a `u32::MAX`-sized table.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// `&'static str` address -> dense class index (fast path).
-    class_by_ptr: FxMap<(usize, usize), u32>,
-    /// Content-keyed class lookup for readers and aliased literals.
-    class_by_name: HashMap<&'static str, u32>,
-    /// class index -> (packets, bytes)
+    /// class id -> (packets, bytes)
     by_class: Vec<(u64, u64)>,
     /// node id -> (packets, bytes) sent; grown on demand.
     sent_by_node: Vec<(u64, u64)>,
@@ -160,26 +155,11 @@ impl NetStats {
         Self::default()
     }
 
-    fn class_index(&mut self, class: &'static str) -> usize {
-        let key = (class.as_ptr() as usize, class.len());
-        if let Some(&i) = self.class_by_ptr.get(&key) {
-            return i as usize;
+    pub(crate) fn on_send(&mut self, src: NodeId, class: &Name, bytes: usize) {
+        let i = class.id() as usize;
+        if i >= self.by_class.len() {
+            self.by_class.resize(i + 1, (0, 0));
         }
-        let i = match self.class_by_name.get(class) {
-            Some(&i) => i,
-            None => {
-                let i = self.by_class.len() as u32;
-                self.by_class.push((0, 0));
-                self.class_by_name.insert(class, i);
-                i
-            }
-        };
-        self.class_by_ptr.insert(key, i);
-        i as usize
-    }
-
-    pub(crate) fn on_send(&mut self, src: NodeId, class: &'static str, bytes: usize) {
-        let i = self.class_index(class);
         bump(&mut self.by_class[i], bytes as u64);
         if src == EXTERNAL_NODE {
             bump(&mut self.sent_external, bytes as u64);
@@ -211,9 +191,8 @@ impl NetStats {
     }
 
     fn class_cell(&self, class: &str) -> (u64, u64) {
-        self.class_by_name
-            .get(class)
-            .map(|&i| self.by_class[i as usize])
+        lookup(class)
+            .and_then(|i| self.by_class.get(i as usize).copied())
             .unwrap_or((0, 0))
     }
 
@@ -249,7 +228,7 @@ impl NetStats {
             .unwrap_or((0, 0))
     }
 
-    /// Reset all counters (warm-up boundary). Class interning survives.
+    /// Reset all counters (warm-up boundary).
     pub fn clear(&mut self) {
         self.by_class.iter_mut().for_each(|c| *c = (0, 0));
         self.sent_by_node.iter_mut().for_each(|c| *c = (0, 0));
@@ -314,9 +293,9 @@ mod tests {
     #[test]
     fn stats_accounting() {
         let mut s = NetStats::new();
-        s.on_send(1, "log_write", 100);
-        s.on_send(1, "log_write", 50);
-        s.on_send(2, "page_read", 4096);
+        s.on_send(1, crate::name!("log_write"), 100);
+        s.on_send(1, crate::name!("log_write"), 50);
+        s.on_send(2, crate::name!("page_read"), 4096);
         s.on_recv(3, 100);
         s.on_drop();
         assert_eq!(s.class_packets("log_write"), 2);
@@ -336,14 +315,11 @@ mod tests {
     fn external_traffic_has_its_own_cell() {
         assert_eq!(EXTERNAL_NODE, crate::sim::EXTERNAL);
         let mut s = NetStats::new();
-        s.on_send(EXTERNAL_NODE, "client", 64);
+        s.on_send(EXTERNAL_NODE, crate::name!("client"), 64);
         s.on_recv(EXTERNAL_NODE, 32);
         assert_eq!(s.sent_by(EXTERNAL_NODE), (1, 64));
         assert_eq!(s.recv_by(EXTERNAL_NODE), (1, 32));
         assert_eq!(s.packets, 1);
-        // class stats survive a same-content, different-address lookup
-        let name = String::from("client");
-        let leaked: &'static str = Box::leak(name.into_boxed_str());
-        assert_eq!(s.class_packets(leaked), 1);
+        assert_eq!(s.class_packets("client"), 1);
     }
 }

@@ -6,7 +6,9 @@
 //! back to it. Integration tests across the workspace use probes to play
 //! the role of a database instance against real storage-node actors.
 
+use crate::metrics::Name;
 use crate::msg::{Msg, Payload};
+use crate::name;
 use crate::sim::{Actor, ActorEvent, Ctx, NodeId};
 
 /// Instruction to a probe: forward `msg` to `dst`.
@@ -29,8 +31,8 @@ impl Payload for Relay {
     fn wire_size(&self) -> usize {
         self.msg.wire_size()
     }
-    fn class(&self) -> &'static str {
-        "relay"
+    fn class(&self) -> &'static Name {
+        name!("relay")
     }
 }
 

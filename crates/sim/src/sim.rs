@@ -25,8 +25,9 @@ use crate::queue::{EventQueue, WheelItem};
 
 use crate::dist::Dist;
 use crate::fault::{BrownoutSpec, FaultAction, FaultPlan, PacketChaos};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{MetricsRegistry, Name};
 use crate::msg::{Msg, Payload};
+use crate::name;
 use crate::net::{NetPolicy, NetStats};
 use crate::rng::SimRng;
 use crate::telemetry::{TelemetryConfig, TelemetrySampler};
@@ -266,58 +267,8 @@ pub struct Sim {
     /// Events addressed to stalled nodes, in arrival order; re-pushed at
     /// the release instant by [`Sim::unstall_node`].
     held: Vec<Event>,
-    /// Events dispatched by this `Sim` (flushed into the process-wide
-    /// total on drop; see [`events_dispatched_total`]).
+    /// Events dispatched by this `Sim`.
     events_dispatched: u64,
-}
-
-/// Process-wide tally of events dispatched across every `Sim` that has
-/// been dropped, plus explicit flushes. The benchmark JSON reports
-/// events/sec from this; it is reporting-only and never read by the
-/// simulation itself, so determinism is unaffected.
-static EVENTS_DISPATCHED_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Process-wide maximum of per-`Sim` event-queue high-water marks
-/// (reporting-only, flushed on drop like [`EVENTS_DISPATCHED_TOTAL`]).
-static EVENTS_QUEUE_HIGH_WATER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Process-wide count of events routed past the timer-wheel horizon into
-/// the overflow heap (reporting-only).
-static EVENTS_OVERFLOW_TOTAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Process-wide maximum of per-`Sim` reserved event-storage bytes
-/// (batch + overlay + overflow + bucket slots; reporting-only).
-static EVENTS_RESERVED_BYTES_PEAK: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(0);
-
-/// Total events dispatched by all completed simulations in this process.
-pub fn events_dispatched_total() -> u64 {
-    EVENTS_DISPATCHED_TOTAL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Largest event-queue depth observed by any completed simulation in
-/// this process.
-pub fn events_queue_high_water_total() -> u64 {
-    EVENTS_QUEUE_HIGH_WATER.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Total events that overflowed the timer-wheel horizon across all
-/// completed simulations in this process.
-pub fn events_overflow_total() -> u64 {
-    EVENTS_OVERFLOW_TOTAL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Largest reserved event-storage footprint (bytes) observed by any
-/// completed simulation in this process.
-pub fn events_reserved_bytes_peak() -> u64 {
-    EVENTS_RESERVED_BYTES_PEAK.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-impl Drop for Sim {
-    fn drop(&mut self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        EVENTS_DISPATCHED_TOTAL.fetch_add(self.events_dispatched, Relaxed);
-        EVENTS_QUEUE_HIGH_WATER.fetch_max(self.events.high_water() as u64, Relaxed);
-        EVENTS_OVERFLOW_TOTAL.fetch_add(self.events.overflow_pushes(), Relaxed);
-        EVENTS_RESERVED_BYTES_PEAK.fetch_max(self.events.reserved_bytes() as u64, Relaxed);
-    }
 }
 
 impl Sim {
@@ -966,25 +917,19 @@ impl Sim {
     fn flush_telemetry(&mut self, upto_ns: u64, inclusive: bool) {
         use crate::metrics::GLOBAL;
         while let Some(end) = self.telemetry.next_boundary(upto_ns, inclusive) {
-            self.metrics
-                .set_gauge(GLOBAL, "kernel.events_pending", self.events.len() as u64);
-            self.metrics.set_gauge(
-                GLOBAL,
-                "kernel.events_high_water",
-                self.events.high_water() as u64,
-            );
-            self.metrics.set_gauge(
-                GLOBAL,
-                "kernel.events_overflowed",
-                self.events.overflow_pushes(),
-            );
-            self.metrics.set_gauge(
-                GLOBAL,
-                "kernel.event_pool_reserved_bytes",
-                self.events.reserved_bytes() as u64,
-            );
-            self.metrics
-                .set_gauge(GLOBAL, "kernel.events_dispatched", self.events_dispatched);
+            let q = &self.events;
+            for (name, v) in [
+                (name!("kernel.events_pending"), q.len() as u64),
+                (name!("kernel.events_high_water"), q.high_water() as u64),
+                (name!("kernel.events_overflowed"), q.overflow_pushes()),
+                (
+                    name!("kernel.event_pool_reserved_bytes"),
+                    q.reserved_bytes() as u64,
+                ),
+                (name!("kernel.events_dispatched"), self.events_dispatched),
+            ] {
+                self.metrics.set_gauge(GLOBAL, name, v);
+            }
             self.telemetry.close_window(end, &self.metrics);
         }
     }
@@ -1163,51 +1108,28 @@ impl<'a> Ctx<'a> {
     }
 
     /// Increment a per-node counter.
-    pub fn inc(&mut self, name: &'static str, v: u64) {
+    #[inline]
+    pub fn inc(&mut self, name: &Name, v: u64) {
         self.sim.metrics.inc(self.node, name, v);
     }
 
     /// Record into a per-node histogram.
-    pub fn record(&mut self, name: &'static str, value: u64) {
+    #[inline]
+    pub fn record(&mut self, name: &Name, value: u64) {
         self.sim.metrics.record(self.node, name, value);
-    }
-
-    /// Resolve a metric name to a reusable handle. Hot actors resolve
-    /// their counters once and use [`Ctx::inc_id`]/[`Ctx::record_id`]
-    /// per event, skipping the name lookup entirely.
-    pub fn metric_id(&mut self, name: &'static str) -> crate::metrics::MetricId {
-        self.sim.metrics.metric_id(name)
-    }
-
-    /// Increment a per-node counter through a pre-resolved handle.
-    #[inline]
-    pub fn inc_id(&mut self, id: crate::metrics::MetricId, v: u64) {
-        self.sim.metrics.inc_id(self.node, id, v);
-    }
-
-    /// Record into a per-node histogram through a pre-resolved handle.
-    #[inline]
-    pub fn record_id(&mut self, id: crate::metrics::MetricId, value: u64) {
-        self.sim.metrics.record_id(self.node, id, value);
     }
 
     /// Set a per-node gauge to its current reading (telemetry windows
     /// sample the latest value at each close).
     #[inline]
-    pub fn gauge(&mut self, name: &'static str, value: u64) {
+    pub fn gauge(&mut self, name: &Name, value: u64) {
         self.sim.metrics.set_gauge(self.node, name, value);
-    }
-
-    /// Set a gauge through a pre-resolved handle.
-    #[inline]
-    pub fn gauge_id(&mut self, id: crate::metrics::MetricId, value: u64) {
-        self.sim.metrics.set_gauge_id(self.node, id, value);
     }
 
     /// Increment a counter attributed to another owner — used by tier
     /// actors (proxies) to roll work up to the shard they routed it to.
     #[inline]
-    pub fn inc_for(&mut self, owner: NodeId, name: &'static str, v: u64) {
+    pub fn inc_for(&mut self, owner: NodeId, name: &Name, v: u64) {
         self.sim.metrics.inc(owner, name, v);
     }
 
@@ -1235,23 +1157,23 @@ impl<'a> Ctx<'a> {
     /// [`SpanId::NONE`] when tracing is off; threading that sentinel
     /// through pending-operation state and later ending it is a no-op.
     #[inline]
-    pub fn trace_begin(&mut self, name: &'static str, parent: SpanId, a0: u64, a1: u64) -> SpanId {
+    pub fn trace_begin(&mut self, kind: &Name, parent: SpanId, a0: u64, a1: u64) -> SpanId {
         let at = self.sim.time.nanos();
-        self.sim.trace.begin(at, self.node, name, parent, a0, a1)
+        self.sim.trace.begin(at, self.node, kind, parent, a0, a1)
     }
 
     /// Close a trace span at the current simulated time.
     #[inline]
-    pub fn trace_end(&mut self, name: &'static str, span: SpanId, a0: u64, a1: u64) {
+    pub fn trace_end(&mut self, kind: &Name, span: SpanId, a0: u64, a1: u64) {
         let at = self.sim.time.nanos();
-        self.sim.trace.end(at, self.node, name, span, a0, a1);
+        self.sim.trace.end(at, self.node, kind, span, a0, a1);
     }
 
     /// Record a standalone trace event (watermark advance, apply mark).
     #[inline]
-    pub fn trace_instant(&mut self, name: &'static str, parent: SpanId, a0: u64, a1: u64) {
+    pub fn trace_instant(&mut self, kind: &Name, parent: SpanId, a0: u64, a1: u64) {
         let at = self.sim.time.nanos();
-        self.sim.trace.instant(at, self.node, name, parent, a0, a1);
+        self.sim.trace.instant(at, self.node, kind, parent, a0, a1);
     }
 }
 
@@ -1266,8 +1188,8 @@ mod tests {
         fn wire_size(&self) -> usize {
             16
         }
-        fn class(&self) -> &'static str {
-            "hello"
+        fn class(&self) -> &'static Name {
+            name!("hello")
         }
     }
 
@@ -1314,7 +1236,7 @@ mod tests {
                 }
                 ActorEvent::Message { .. } => {
                     self.replies += 1;
-                    ctx.inc("replies", 1);
+                    ctx.inc(name!("replies"), 1);
                 }
                 ActorEvent::Timer { tag } => {
                     assert_eq!(tag, 7);
@@ -1992,9 +1914,9 @@ mod tests {
                 ActorEvent::Start | ActorEvent::Timer { .. } => {
                     self.ticks += 1;
                     let r = ctx.rng().range_u64(0, 1_000_000);
-                    ctx.inc("work", 1);
-                    ctx.record("lat_ns", r);
-                    ctx.gauge("depth", self.ticks % 7);
+                    ctx.inc(name!("work"), 1);
+                    ctx.record(name!("lat_ns"), r);
+                    ctx.gauge(name!("depth"), self.ticks % 7);
                     ctx.set_timer(SimDuration::from_millis(3), 0);
                 }
                 _ => {}
@@ -2056,5 +1978,81 @@ mod tests {
         let names = |o: u32| format!("n{o}");
         assert_eq!(sampled.telemetry.ndjson(names), again.telemetry.ndjson(names));
         assert_eq!(sampled.telemetry.csv(names), again.telemetry.csv(names));
+    }
+
+    /// Writes every metric kind under each of its three names, in the
+    /// order its descriptor set lists them, and traces them in name order.
+    struct Spine {
+        set: &'static [Name; 3],
+        ticks: u64,
+    }
+    impl Actor for Spine {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ActorEvent) {
+            if let ActorEvent::Start | ActorEvent::Timer { .. } = ev {
+                self.ticks += 1;
+                for n in self.set {
+                    ctx.inc(n, 1);
+                    ctx.record(n, self.ticks * 1_000);
+                    ctx.gauge(n, self.ticks);
+                }
+                let mut kinds: Vec<&Name> = self.set.iter().collect();
+                kinds.sort_by_key(|n| n.name());
+                for n in kinds {
+                    ctx.trace_instant(n, SpanId::NONE, self.ticks, 0);
+                }
+                ctx.set_timer(SimDuration::from_millis(7), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn name_ids_never_reach_an_output() {
+        // Same names, separate descriptors, opposite first-use orders.
+        static ZMA: [Name; 3] = [
+            Name::new("spine.test.z"),
+            Name::new("spine.test.m"),
+            Name::new("spine.test.a"),
+        ];
+        static AMZ: [Name; 3] = [
+            Name::new("spine.test.a"),
+            Name::new("spine.test.m"),
+            Name::new("spine.test.z"),
+        ];
+        let run = |set: &'static [Name; 3]| {
+            let mut sim = Sim::new(9);
+            sim.trace.enable(4_096);
+            sim.enable_telemetry(TelemetryConfig {
+                interval_ns: 50_000_000,
+                ring: 64,
+                slos: vec![],
+            });
+            sim.add_node(
+                "s",
+                Zone(0),
+                Box::new(Spine { set, ticks: 0 }),
+                NodeOpts::default(),
+            );
+            sim.run_for(SimDuration::from_millis(500));
+            sim
+        };
+        let first = run(&ZMA);
+        let second = run(&AMZ);
+        // ids follow first use, so they disagree with name order here
+        assert!(ZMA[0].id() < ZMA[2].id());
+        assert_eq!(AMZ[0].id(), ZMA[2].id());
+        let m = &first.metrics;
+        let names: Vec<&str> = m.counters_snapshot().iter().map(|p| p.1).collect();
+        assert_eq!(names, ["spine.test.a", "spine.test.m", "spine.test.z"]);
+        assert_eq!(m.counters_snapshot(), second.metrics.counters_snapshot());
+        assert_eq!(
+            m.histograms_snapshot(),
+            second.metrics.histograms_snapshot()
+        );
+        assert_eq!(m.gauges_snapshot(), second.metrics.gauges_snapshot());
+        let node = |o: u32| format!("n{o}");
+        assert_eq!(first.telemetry.ndjson(node), second.telemetry.ndjson(node));
+        let trace = crate::trace::ndjson(&first.trace, node);
+        assert!(trace.contains("\"kind\":\"spine.test.a\""));
+        assert_eq!(trace, crate::trace::ndjson(&second.trace, node));
     }
 }

@@ -45,7 +45,8 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::metrics::{sparse_quantile, Histogram, MetricsRegistry, GLOBAL};
+use crate::metrics::{sparse_quantile, Histogram, MetricsRegistry, Name, NameTable, GLOBAL};
+use crate::name;
 
 /// Default sample interval: 100ms of simulated time.
 pub const DEFAULT_INTERVAL_NS: u64 = 100_000_000;
@@ -119,20 +120,20 @@ pub struct TelemetryWindow {
 pub enum SloKind {
     /// `quantile(metric, q)` of the window must stay `<= ceiling_ns`.
     QuantileCeiling {
-        metric: &'static str,
+        metric: &'static Name,
         q: f64,
         ceiling_ns: u64,
     },
     /// `num / denom` (window counter deltas) must stay `>= floor`.
     RatioFloor {
-        num: &'static str,
-        denom: &'static str,
+        num: &'static Name,
+        denom: &'static Name,
         floor: f64,
     },
     /// `num / denom` (window counter deltas) must stay `<= ceiling`.
     RatioCeiling {
-        num: &'static str,
-        denom: &'static str,
+        num: &'static Name,
+        denom: &'static Name,
         ceiling: f64,
     },
 }
@@ -154,7 +155,7 @@ impl SloSpec {
             name: "commit-p99",
             sustain,
             kind: SloKind::QuantileCeiling {
-                metric: "engine.commit_ns",
+                metric: name!("engine.commit_ns"),
                 q: 0.99,
                 ceiling_ns,
             },
@@ -167,8 +168,8 @@ impl SloSpec {
             name: "availability",
             sustain,
             kind: SloKind::RatioFloor {
-                num: "proxy.forwarded",
-                denom: "proxy.requests",
+                num: name!("proxy.forwarded"),
+                denom: name!("proxy.requests"),
                 floor,
             },
         }
@@ -180,7 +181,7 @@ impl SloSpec {
             name: "replica-lag",
             sustain,
             kind: SloKind::QuantileCeiling {
-                metric: "replica.lag_ns",
+                metric: name!("replica.lag_ns"),
                 q: 0.99,
                 ceiling_ns,
             },
@@ -193,8 +194,8 @@ impl SloSpec {
             name: "shed-rate",
             sustain,
             kind: SloKind::RatioCeiling {
-                num: "proxy.shard_sheds",
-                denom: "proxy.requests",
+                num: name!("proxy.shard_sheds"),
+                denom: name!("proxy.requests"),
                 ceiling,
             },
         }
@@ -258,9 +259,10 @@ pub struct TelemetrySampler {
     /// 100ms of simulation everything is cache-cold, and two dependent
     /// loads per (owner, histogram) pair dominate an idle close.
     prev_hist_totals: Vec<Vec<u64>>,
-    /// Metric ids in display (name) order — the emit order of every
-    /// window, cached so closes never sort. Rebuilt when ids are interned.
-    rank: Vec<u32>,
+    /// `(id, name)` of every name in the table, in name order — the emit
+    /// order of every window, cached so closes never sort. Rebuilt when
+    /// the table grows.
+    rank: Vec<(u32, &'static str)>,
     /// Reusable per-window fleet accumulators, indexed by metric id.
     roll_deltas: Vec<u64>,
     roll_delta_seen: Vec<bool>,
@@ -417,13 +419,17 @@ impl TelemetrySampler {
     /// [`Histogram::fold_window`] into sparse fleet accumulators. No full
     /// bucket table is allocated, copied or scanned in the steady state.
     pub(crate) fn close_window(&mut self, end_ns: u64, metrics: &MetricsRegistry) {
-        let n_ids = metrics.names_len();
-        if self.rank.len() != n_ids {
-            // New metrics were interned since the last close (first-touch
-            // order is deterministic, but display order is by name).
-            self.rank = (0..n_ids as u32).collect();
-            self.rank.sort_unstable_by_key(|&i| metrics.name_of(i));
+        {
+            // Ids follow first use across the process; display order is
+            // by name.
+            let table = NameTable::read();
+            let names = table.names();
+            if self.rank.len() != names.len() {
+                self.rank = (0..).zip(names.iter().copied()).collect();
+                self.rank.sort_unstable_by_key(|&(_, name)| name);
+            }
         }
+        let n_ids = self.rank.len();
         self.roll_deltas.clear();
         self.roll_deltas.resize(n_ids, 0);
         self.roll_delta_seen.clear();
@@ -488,7 +494,7 @@ impl TelemetrySampler {
             let grow: &[Option<u64>] = gauges.get(s).map_or(&[], |r| &r[..]);
             let hrow: &[Option<Box<Histogram>>] = hists.get(s).map_or(&[], |r| &r[..]);
             let trow: &[u64] = hist_totals.get(s).map_or(&[], |r| &r[..]);
-            for &id in rank.iter() {
+            for &(id, metric) in rank.iter() {
                 let i = id as usize;
                 if let Some(&cur) = crow.get(i) {
                     let p = &mut prev_counters[s][i];
@@ -497,7 +503,7 @@ impl TelemetrySampler {
                     if d != 0 {
                         points.push(TelemetryPoint {
                             owner,
-                            metric: metrics.name_of(id),
+                            metric,
                             value: TelemetryValue::Delta(d),
                         });
                         roll_deltas[i] += d;
@@ -507,7 +513,7 @@ impl TelemetrySampler {
                 if let Some(Some(v)) = grow.get(i) {
                     points.push(TelemetryPoint {
                         owner,
-                        metric: metrics.name_of(id),
+                        metric,
                         value: TelemetryValue::Gauge(*v),
                     });
                     *roll_gauges[i].get_or_insert(0) += *v;
@@ -528,7 +534,7 @@ impl TelemetrySampler {
                         if let Some(st) = h.fold_window(p, &mut roll.slots) {
                             points.push(TelemetryPoint {
                                 owner,
-                                metric: metrics.name_of(id),
+                                metric,
                                 value: TelemetryValue::Quantiles {
                                     count: st.count,
                                     p50: st.p50,
@@ -556,9 +562,8 @@ impl TelemetrySampler {
 
         // Fleet rollups in the same name order as the per-owner points.
         let mut rollups: Vec<TelemetryPoint> = Vec::new();
-        for &id in rank.iter() {
+        for &(id, metric) in rank.iter() {
             let i = id as usize;
-            let metric = metrics.name_of(id);
             if roll_delta_seen[i] {
                 rollups.push(TelemetryPoint {
                     owner: GLOBAL,
@@ -596,20 +601,19 @@ impl TelemetrySampler {
                     metric,
                     q,
                     ceiling_ns,
-                } => metrics
-                    .lookup_id(metric)
-                    .and_then(|id| roll_hists.get(id as usize))
+                } => roll_hists
+                    .get(metric.id() as usize)
                     .filter(|roll| roll.count != 0)
                     .map(|roll| {
                         let v = roll.quantile(*q) as f64;
                         (v, *ceiling_ns as f64, v > *ceiling_ns as f64, SloUnit::Nanos)
                     }),
                 SloKind::RatioFloor { num, denom, floor } => {
-                    ratio(metrics, roll_deltas, num, denom)
+                    ratio(roll_deltas, num, denom)
                         .map(|r| (r, *floor, r < *floor, SloUnit::Ratio))
                 }
                 SloKind::RatioCeiling { num, denom, ceiling } => {
-                    ratio(metrics, roll_deltas, num, denom)
+                    ratio(roll_deltas, num, denom)
                         .map(|r| (r, *ceiling, r > *ceiling, SloUnit::Ratio))
                 }
             };
@@ -896,25 +900,12 @@ fn owner_of(slot: usize) -> u32 {
     }
 }
 
-fn ratio(
-    metrics: &MetricsRegistry,
-    deltas: &[u64],
-    num: &str,
-    denom: &str,
-) -> Option<f64> {
-    let d = metrics
-        .lookup_id(denom)
-        .and_then(|id| deltas.get(id as usize))
-        .copied()
-        .unwrap_or(0);
+fn ratio(deltas: &[u64], num: &Name, denom: &Name) -> Option<f64> {
+    let d = deltas.get(denom.id() as usize).copied().unwrap_or(0);
     if d == 0 {
         return None;
     }
-    let n = metrics
-        .lookup_id(num)
-        .and_then(|id| deltas.get(id as usize))
-        .copied()
-        .unwrap_or(0);
+    let n = deltas.get(num.id() as usize).copied().unwrap_or(0);
     Some(n as f64 / d as f64)
 }
 
@@ -976,9 +967,9 @@ mod tests {
     fn windows_capture_counter_deltas_not_totals() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![]);
-        m.inc(1, "c", 5);
+        m.inc(1, name!("c"), 5);
         close(&mut s, 100_000_000, &m);
-        m.inc(1, "c", 3);
+        m.inc(1, name!("c"), 3);
         close(&mut s, 200_000_000, &m);
         close(&mut s, 300_000_000, &m); // idle window
         let w: Vec<_> = s.windows().iter().collect();
@@ -1002,9 +993,9 @@ mod tests {
     fn histogram_points_are_windowed_quantiles() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![]);
-        m.record(3, "lat", 1_000);
+        m.record(3, name!("lat"), 1_000);
         close(&mut s, 100_000_000, &m);
-        m.record(3, "lat", 9_000_000);
+        m.record(3, name!("lat"), 9_000_000);
         close(&mut s, 200_000_000, &m);
         let w: Vec<_> = s.windows().iter().collect();
         match &w[1].points[0].value {
@@ -1023,12 +1014,12 @@ mod tests {
     fn rollups_aggregate_across_owners() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![]);
-        m.inc(1, "c", 5);
-        m.inc(2, "c", 7);
-        m.set_gauge(1, "depth", 3);
-        m.set_gauge(2, "depth", 4);
-        m.record(1, "lat", 100);
-        m.record(2, "lat", 300);
+        m.inc(1, name!("c"), 5);
+        m.inc(2, name!("c"), 7);
+        m.set_gauge(1, name!("depth"), 3);
+        m.set_gauge(2, name!("depth"), 4);
+        m.record(1, name!("lat"), 100);
+        m.record(2, name!("lat"), 300);
         close(&mut s, 100_000_000, &m);
         let w = s.windows().front().unwrap();
         assert_eq!(w.points.len(), 6);
@@ -1073,7 +1064,7 @@ mod tests {
             0,
         );
         for k in 1..=5u64 {
-            m.inc(1, "c", k);
+            m.inc(1, name!("c"), k);
             close(&mut s, k * 100, &m);
         }
         assert_eq!(s.windows().len(), 2);
@@ -1089,19 +1080,19 @@ mod tests {
             name: "commit-p99",
             sustain: 2,
             kind: SloKind::QuantileCeiling {
-                metric: "engine.commit_ns",
+                metric: name!("engine.commit_ns"),
                 q: 0.99,
                 ceiling_ns: 1_000_000,
             },
         };
         let mut s = enabled(vec![slo]);
         // window 0: healthy
-        m.record(1, "engine.commit_ns", 500_000);
+        m.record(1, name!("engine.commit_ns"), 500_000);
         close(&mut s, 100_000_000, &m);
         // windows 1-2: breach (10ms)
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 200_000_000, &m);
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 300_000_000, &m);
         assert_eq!(s.burns().len(), 1, "burn on the 2nd consecutive breach");
         let b = &s.burns()[0];
@@ -1110,15 +1101,15 @@ mod tests {
         assert_eq!(b.unit, SloUnit::Nanos);
         assert!(b.value > b.limit);
         // window 3: still breaching — no second burn mid-episode
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 400_000_000, &m);
         assert_eq!(s.burns().len(), 1);
         // windows 4 (recover) then 5-6 (breach again): a second burn
-        m.record(1, "engine.commit_ns", 500_000);
+        m.record(1, name!("engine.commit_ns"), 500_000);
         close(&mut s, 500_000_000, &m);
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 600_000_000, &m);
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 700_000_000, &m);
         assert_eq!(s.burns().len(), 2);
     }
@@ -1130,17 +1121,17 @@ mod tests {
             name: "commit-p99",
             sustain: 2,
             kind: SloKind::QuantileCeiling {
-                metric: "engine.commit_ns",
+                metric: name!("engine.commit_ns"),
                 q: 0.99,
                 ceiling_ns: 1_000_000,
             },
         };
         let mut s = enabled(vec![slo]);
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 100_000_000, &m);
         // idle window: no samples — must not reset the streak
         close(&mut s, 200_000_000, &m);
-        m.record(1, "engine.commit_ns", 10_000_000);
+        m.record(1, name!("engine.commit_ns"), 10_000_000);
         close(&mut s, 300_000_000, &m);
         assert_eq!(s.burns().len(), 1, "streak held across the idle window");
     }
@@ -1149,12 +1140,12 @@ mod tests {
     fn availability_ratio_probe() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![SloSpec::availability_floor(0.99, 1)]);
-        m.inc(1, "proxy.requests", 100);
-        m.inc(1, "proxy.forwarded", 100);
+        m.inc(1, name!("proxy.requests"), 100);
+        m.inc(1, name!("proxy.forwarded"), 100);
         close(&mut s, 100_000_000, &m);
         assert!(s.burns().is_empty());
-        m.inc(1, "proxy.requests", 100);
-        m.inc(1, "proxy.forwarded", 50);
+        m.inc(1, name!("proxy.requests"), 100);
+        m.inc(1, name!("proxy.forwarded"), 50);
         close(&mut s, 200_000_000, &m);
         assert_eq!(s.burns().len(), 1);
         let b = &s.burns()[0];
@@ -1166,9 +1157,9 @@ mod tests {
     fn exports_are_pure_functions_of_the_ring() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![SloSpec::commit_p99_ceiling(1_000_000, 1)]);
-        m.inc(1, "c", 5);
-        m.set_gauge(2, "depth", 9);
-        m.record(1, "engine.commit_ns", 50_000_000);
+        m.inc(1, name!("c"), 5);
+        m.set_gauge(2, name!("depth"), 9);
+        m.record(1, name!("engine.commit_ns"), 50_000_000);
         close(&mut s, 100_000_000, &m);
         let names = |o: u32| format!("node{o}");
         let nd1 = s.ndjson(names);
@@ -1192,8 +1183,8 @@ mod tests {
     fn rebase_restarts_window_numbering_and_forgets_state() {
         let mut m = MetricsRegistry::new();
         let mut s = enabled(vec![SloSpec::commit_p99_ceiling(1, 1)]);
-        m.record(1, "engine.commit_ns", 100);
-        m.inc(1, "c", 5);
+        m.record(1, name!("engine.commit_ns"), 100);
+        m.inc(1, name!("c"), 5);
         close(&mut s, 100_000_000, &m);
         assert_eq!(s.burns().len(), 1);
         // warm-up boundary: metrics clear + rebase together
@@ -1203,7 +1194,7 @@ mod tests {
         assert!(s.burns().is_empty());
         assert_eq!(s.next_boundary(250_000_001, false), Some(250_000_000));
         // counters restarted from zero must not produce negative deltas
-        m.inc(1, "c", 2);
+        m.inc(1, name!("c"), 2);
         close(&mut s, 250_000_000, &m);
         let w = s.windows().front().unwrap();
         assert_eq!(w.index, 0);

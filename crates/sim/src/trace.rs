@@ -2,10 +2,9 @@
 //!
 //! A [`TraceBuffer`] is a ring of fixed-size [`TraceEvent`]s stamped with
 //! the **simulated** clock — never the wall clock — so the same seed
-//! yields a bit-identical trace. Events carry an interned `kind` (the
-//! same dense-id pattern as [`crate::metrics::MetricsRegistry`]: a
-//! pointer-keyed map over `&'static str` literals falling back to a
-//! content-keyed map once), a span id with an optional parent for causal
+//! yields a bit-identical trace. Events carry a `kind` (the id of a
+//! [`Name`] descriptor, shared with the metrics; exporters print the
+//! name, never the id), a span id with an optional parent for causal
 //! chains (commit → quorum ack → VDL advance → replica apply), and two
 //! untyped `u64` attributes whose meaning is per-kind (an LSN, a PG, a
 //! lag in nanoseconds).
@@ -24,9 +23,7 @@
 //! renders the `wm.*` timeline events (VDL/VCL/SCL/PGMRPL) as a per-PG
 //! table for DST failure messages.
 
-use std::collections::HashMap;
-
-use crate::hash::FxHashMap as FxMap;
+use crate::metrics::{Name, NameTable};
 
 /// Whether an event opens a span, closes one, or stands alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +55,7 @@ pub struct TraceEvent {
     pub at_ns: u64,
     /// Emitting node id.
     pub actor: u32,
-    /// Interned kind (resolve with [`TraceBuffer::kind_name`]).
+    /// Kind name id (resolve with [`TraceBuffer::kind_name`]).
     pub kind: u32,
     pub phase: TracePhase,
     /// Span this event opens/closes; 0 for instants without a span.
@@ -84,11 +81,6 @@ pub struct TraceBuffer {
     next_span: u64,
     /// Events evicted from the ring (oldest-first).
     dropped: u64,
-    /// Interning fast path: `&'static str` address -> kind id.
-    by_ptr: FxMap<(usize, usize), u32>,
-    /// Content-keyed source of truth for kind -> id.
-    by_name: HashMap<&'static str, u32>,
-    kinds: Vec<&'static str>,
 }
 
 impl TraceBuffer {
@@ -118,29 +110,13 @@ impl TraceBuffer {
         self.enabled
     }
 
-    /// Intern a kind name to a dense id (idempotent; survives
-    /// [`TraceBuffer::clear_events`], mirroring metric ids).
-    pub fn kind_id(&mut self, name: &'static str) -> u32 {
-        let key = (name.as_ptr() as usize, name.len());
-        if let Some(&id) = self.by_ptr.get(&key) {
-            return id;
-        }
-        let id = match self.by_name.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.kinds.len() as u32;
-                self.kinds.push(name);
-                self.by_name.insert(name, id);
-                id
-            }
-        };
-        self.by_ptr.insert(key, id);
-        id
-    }
-
-    /// Resolve an interned kind id back to its name.
+    /// Resolve a kind id back to its name.
     pub fn kind_name(&self, kind: u32) -> &'static str {
-        self.kinds.get(kind as usize).copied().unwrap_or("?")
+        NameTable::read()
+            .names()
+            .get(kind as usize)
+            .copied()
+            .unwrap_or("?")
     }
 
     #[inline]
@@ -162,7 +138,7 @@ impl TraceBuffer {
         &mut self,
         at_ns: u64,
         actor: u32,
-        name: &'static str,
+        kind: &Name,
         parent: SpanId,
         a0: u64,
         a1: u64,
@@ -170,7 +146,7 @@ impl TraceBuffer {
         if !self.enabled {
             return SpanId::NONE;
         }
-        let kind = self.kind_id(name);
+        let kind = kind.id();
         self.next_span += 1;
         let span = self.next_span;
         self.push(TraceEvent {
@@ -189,19 +165,11 @@ impl TraceBuffer {
     /// Close a span. No-op when tracing is off or `span` is the sentinel
     /// (e.g. the span was opened before tracing was enabled).
     #[inline]
-    pub fn end(
-        &mut self,
-        at_ns: u64,
-        actor: u32,
-        name: &'static str,
-        span: SpanId,
-        a0: u64,
-        a1: u64,
-    ) {
+    pub fn end(&mut self, at_ns: u64, actor: u32, kind: &Name, span: SpanId, a0: u64, a1: u64) {
         if !self.enabled || span.is_none() {
             return;
         }
-        let kind = self.kind_id(name);
+        let kind = kind.id();
         self.push(TraceEvent {
             at_ns,
             actor,
@@ -220,7 +188,7 @@ impl TraceBuffer {
         &mut self,
         at_ns: u64,
         actor: u32,
-        name: &'static str,
+        kind: &Name,
         parent: SpanId,
         a0: u64,
         a1: u64,
@@ -228,7 +196,7 @@ impl TraceBuffer {
         if !self.enabled {
             return;
         }
-        let kind = self.kind_id(name);
+        let kind = kind.id();
         self.push(TraceEvent {
             at_ns,
             actor,
@@ -262,7 +230,7 @@ impl TraceBuffer {
         self.dropped
     }
 
-    /// Drop recorded events but keep interned kinds and the span counter
+    /// Drop recorded events but keep the span counter
     /// (so spans still open across a warm-up boundary keep unique ids).
     pub fn clear_events(&mut self) {
         self.ring.clear();
@@ -424,6 +392,7 @@ pub fn watermark_table(buf: &TraceBuffer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::name;
 
     fn ev(buf: &TraceBuffer) -> Vec<(u64, u64)> {
         buf.events().map(|e| (e.at_ns, e.a0)).collect()
@@ -432,10 +401,10 @@ mod tests {
     #[test]
     fn disabled_buffer_records_nothing_and_hands_out_sentinels() {
         let mut b = TraceBuffer::new();
-        let s = b.begin(1, 0, "x", SpanId::NONE, 0, 0);
+        let s = b.begin(1, 0, name!("x"), SpanId::NONE, 0, 0);
         assert!(s.is_none());
-        b.end(2, 0, "x", s, 0, 0);
-        b.instant(3, 0, "y", SpanId::NONE, 0, 0);
+        b.end(2, 0, name!("x"), s, 0, 0);
+        b.instant(3, 0, name!("y"), SpanId::NONE, 0, 0);
         assert!(b.is_empty());
     }
 
@@ -444,7 +413,7 @@ mod tests {
         let mut b = TraceBuffer::new();
         b.enable(4);
         for t in 0..10u64 {
-            b.instant(t, 0, "k", SpanId::NONE, t, 0);
+            b.instant(t, 0, name!("k"), SpanId::NONE, t, 0);
         }
         // only the newest 4 remain, still in time order
         assert_eq!(ev(&b), vec![(6, 6), (7, 7), (8, 8), (9, 9)]);
@@ -456,11 +425,11 @@ mod tests {
     fn span_ids_are_unique_and_parented() {
         let mut b = TraceBuffer::new();
         b.enable(16);
-        let root = b.begin(1, 0, "commit", SpanId::NONE, 42, 0);
-        let child = b.begin(2, 0, "quorum", root, 42, 0);
+        let root = b.begin(1, 0, name!("commit"), SpanId::NONE, 42, 0);
+        let child = b.begin(2, 0, name!("quorum"), root, 42, 0);
         assert_ne!(root, child);
-        b.end(3, 0, "quorum", child, 0, 0);
-        b.end(4, 0, "commit", root, 0, 0);
+        b.end(3, 0, name!("quorum"), child, 0, 0);
+        b.end(4, 0, name!("commit"), root, 0, 0);
         let events: Vec<&TraceEvent> = b.events().collect();
         assert_eq!(events.len(), 4);
         assert_eq!(events[1].parent, root.0);
@@ -469,26 +438,27 @@ mod tests {
     }
 
     #[test]
-    fn kind_interning_is_idempotent_and_survives_clear() {
+    fn kinds_share_the_name_table_and_survive_clear() {
+        static KIND: Name = Name::new("trace.test.commit");
         let mut b = TraceBuffer::new();
         b.enable(8);
-        let a = b.kind_id("engine.commit");
-        let a2 = b.kind_id("engine.commit");
-        assert_eq!(a, a2);
-        b.instant(1, 0, "engine.commit", SpanId::NONE, 0, 0);
+        b.instant(1, 0, &KIND, SpanId::NONE, 0, 0);
+        b.instant(2, 0, name!("trace.test.commit"), SpanId::NONE, 0, 0);
+        let kinds: Vec<u32> = b.events().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![KIND.id(), KIND.id()]);
         b.clear_events();
         assert!(b.is_empty());
-        assert_eq!(b.kind_id("engine.commit"), a);
-        assert_eq!(b.kind_name(a), "engine.commit");
+        assert_eq!(b.kind_name(KIND.id()), "trace.test.commit");
+        assert_eq!(b.kind_name(u32::MAX), "?");
     }
 
     #[test]
     fn exporters_are_pure_functions_of_the_ring() {
         let mut b = TraceBuffer::new();
         b.enable(8);
-        let s = b.begin(1_500, 2, "engine.commit", SpanId::NONE, 7, 0);
-        b.instant(2_000, 2, "wm.vdl", s, 7, 0);
-        b.end(2_500, 2, "engine.commit", s, 7, 0);
+        let s = b.begin(1_500, 2, name!("engine.commit"), SpanId::NONE, 7, 0);
+        b.instant(2_000, 2, name!("wm.vdl"), s, 7, 0);
+        b.end(2_500, 2, name!("engine.commit"), s, 7, 0);
         let name = |a: u32| format!("node-{a}");
         let c1 = chrome_trace(&b, name);
         let c2 = chrome_trace(&b, name);

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use aurora_log::SegmentId;
 use aurora_quorum::TruncationRange;
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, SpanId, Tag, Zone};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, SpanId, Tag, Zone};
 
 use crate::volume::PgMembership;
 use crate::wire::*;
@@ -192,9 +192,9 @@ impl ControlPlane {
             }
         });
         for (replacement, zone, span, segment) in expired {
-            ctx.trace_end("control.repair", span, segment.pg.0 as u64, 0);
+            ctx.trace_end(name!("control.repair"), span, segment.pg.0 as u64, 0);
             self.repairs_requeued += 1;
-            ctx.inc("control.repairs_requeued", 1);
+            ctx.inc(name!("control.repairs_requeued"), 1);
             let seen = self
                 .last_seen
                 .get(&replacement)
@@ -222,7 +222,7 @@ impl ControlPlane {
         }
         self.cfg.spares.push((node, zone));
         self.spares_reclaimed += 1;
-        ctx.inc("control.spares_reclaimed", 1);
+        ctx.inc(name!("control.spares_reclaimed"), 1);
     }
 
     fn sweep(&mut self, ctx: &mut Ctx<'_>) {
@@ -327,7 +327,7 @@ impl ControlPlane {
         let src_segment = SegmentId::new(segment.pg, donor_slot);
         // optimistic membership update (installed on RepairDone)
         let span = ctx.trace_begin(
-            "control.repair",
+            name!("control.repair"),
             SpanId::NONE,
             segment.pg.0 as u64,
             segment.replica as u64,
@@ -340,7 +340,7 @@ impl ControlPlane {
             started_at: now,
             span,
         });
-        ctx.inc("control.repairs_started", 1);
+        ctx.inc(name!("control.repairs_started"), 1);
         ctx.send(
             donor,
             RepairFetchReq {
@@ -383,9 +383,9 @@ impl ControlPlane {
         }
         if self.repair_segment(ctx, segment, node) {
             self.fences += 1;
-            ctx.inc("control.fences", 1);
+            ctx.inc(name!("control.fences"), 1);
             ctx.trace_instant(
-                "control.fence",
+                name!("control.fence"),
                 SpanId::NONE,
                 segment.pg.0 as u64,
                 segment.replica as u64,
@@ -403,7 +403,7 @@ impl ControlPlane {
         };
         let job = self.in_repair.remove(pos);
         ctx.trace_end(
-            "control.repair",
+            name!("control.repair"),
             job.span,
             segment.pg.0 as u64,
             segment.replica as u64,
@@ -412,7 +412,7 @@ impl ControlPlane {
             m.slots[segment.replica as usize] = from;
         }
         self.repairs_completed += 1;
-        ctx.inc("control.repairs_completed", 1);
+        ctx.inc(name!("control.repairs_completed"), 1);
         self.last_seen.insert(from, ctx.now());
         self.broadcast_membership(ctx, segment.pg);
     }
@@ -431,7 +431,10 @@ impl Actor for ControlPlane {
             }
             ActorEvent::Timer { tag: TAG_SWEEP } => {
                 self.sweep(ctx);
-                ctx.gauge("control.repairs_in_flight", self.in_repair_count() as u64);
+                ctx.gauge(
+                    name!("control.repairs_in_flight"),
+                    self.in_repair_count() as u64,
+                );
                 ctx.set_timer(self.cfg.sweep_interval, TAG_SWEEP);
             }
             ActorEvent::Timer { .. } => {}

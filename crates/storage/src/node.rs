@@ -25,7 +25,7 @@ use aurora_log::{
     apply_record, codec, ApplyError, LogRecord, Lsn, Page, PageId, SegmentId, SegmentLog,
 };
 use aurora_quorum::TruncationGuard;
-use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, SpanId, Tag};
+use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, SpanId, Tag};
 
 use crate::object_store::{ObjectStore, SegmentBackup};
 use crate::wire::*;
@@ -372,37 +372,8 @@ enum PendingOp {
     Background,
 }
 
-/// Precomputed metric handles for the per-event hot paths. Resolved once
-/// per process (lazily) so the hot loops never hash metric-name strings.
-#[derive(Clone, Copy)]
-struct HotIds {
-    batches_in: aurora_sim::MetricId,
-    fast_acks: aurora_sim::MetricId,
-    page_reads: aurora_sim::MetricId,
-    persist_ns: aurora_sim::MetricId,
-    gossip_filled: aurora_sim::MetricId,
-    coalesced: aurora_sim::MetricId,
-    gc_records: aurora_sim::MetricId,
-}
-
-impl HotIds {
-    fn resolve(ctx: &mut Ctx<'_>) -> Self {
-        HotIds {
-            batches_in: ctx.metric_id("storage.batches_in"),
-            fast_acks: ctx.metric_id("storage.fast_acks"),
-            page_reads: ctx.metric_id("storage.page_reads"),
-            persist_ns: ctx.metric_id("storage.persist_ns"),
-            gossip_filled: ctx.metric_id("storage.gossip_filled"),
-            coalesced: ctx.metric_id("storage.coalesced"),
-            gc_records: ctx.metric_id("storage.gc_records"),
-        }
-    }
-}
-
 /// The storage node actor.
 pub struct StorageNode {
-    /// Lazily resolved metric handles (not state: survives crashes).
-    hot: Option<HotIds>,
     cfg: StorageNodeConfig,
     /// Durable state (survives crashes). BTreeMap, not HashMap: the
     /// gossip/coalesce/backup timers iterate hosted segments and draw from
@@ -423,7 +394,6 @@ pub struct StorageNode {
 impl StorageNode {
     pub fn new(cfg: StorageNodeConfig) -> Self {
         StorageNode {
-            hot: None,
             cfg,
             segments: BTreeMap::new(),
             pending: FxHashMap::default(),
@@ -431,11 +401,6 @@ impl StorageNode {
             serve_future: false,
             nack_reads: false,
         }
-    }
-
-    /// Resolve (once) and copy out the hot metric handles.
-    fn hot(&mut self, ctx: &mut Ctx<'_>) -> HotIds {
-        *self.hot.get_or_insert_with(|| HotIds::resolve(ctx))
     }
 
     /// Test/inspection: the SCL of a hosted segment.
@@ -586,11 +551,10 @@ impl StorageNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: aurora_sim::Msg) {
-        let ids = self.hot(ctx);
         // Foreground path: write batches and page reads.
         let msg = match msg.downcast::<WriteBatch>() {
             Ok(wb) => {
-                ctx.inc_id(ids.batches_in, 1);
+                ctx.inc(name!("storage.batches_in"), 1);
                 let seg = self
                     .segments
                     .entry(wb.segment)
@@ -610,7 +574,7 @@ impl StorageNode {
                 // the writer for the truncation range instead; the batch
                 // comes back via its retransmission path.
                 if wb.epoch > seg.guard.epoch() {
-                    ctx.inc("storage.epoch_behind", 1);
+                    ctx.inc(name!("storage.epoch_behind"), 1);
                     let epoch = seg.guard.epoch();
                     ctx.send(
                         from,
@@ -640,7 +604,7 @@ impl StorageNode {
                             .collect()
                     };
                 if had_records && admitted.is_empty() {
-                    ctx.inc("storage.fenced_batches", 1);
+                    ctx.inc(name!("storage.fenced_batches"), 1);
                     let epoch = seg.guard.epoch();
                     ctx.send(
                         from,
@@ -668,10 +632,10 @@ impl StorageNode {
                     .iter()
                     .all(|r| r.lsn <= seg.log.scl() || seg.log.get(r.lsn).is_some())
                 {
-                    ctx.inc_id(ids.fast_acks, 1);
+                    ctx.inc(name!("storage.fast_acks"), 1);
                     let scl = seg.log.scl();
                     ctx.trace_instant(
-                        "storage.fast_ack",
+                        name!("storage.fast_ack"),
                         SpanId::NONE,
                         wb.batch_end.0,
                         wb.segment.pg.0 as u64,
@@ -688,7 +652,7 @@ impl StorageNode {
                 }
                 let bytes = aurora_log::codec::batch_wire_size(&admitted);
                 let span = ctx.trace_begin(
-                    "storage.persist",
+                    name!("storage.persist"),
                     SpanId::NONE,
                     wb.batch_end.0,
                     wb.segment.pg.0 as u64,
@@ -709,9 +673,9 @@ impl StorageNode {
         };
         let msg = match msg.downcast::<ReadPageReq>() {
             Ok(req) => {
-                ctx.inc_id(ids.page_reads, 1);
+                ctx.inc(name!("storage.page_reads"), 1);
                 if self.nack_reads {
-                    ctx.inc("storage.read_rejected", 1);
+                    ctx.inc(name!("storage.read_rejected"), 1);
                     let scl = self
                         .segments
                         .get(&req.segment)
@@ -730,7 +694,7 @@ impl StorageNode {
                     // not hosted (repair in progress): nack so the engine
                     // redirects immediately instead of waiting out the
                     // read timeout
-                    ctx.inc("storage.read_rejected", 1);
+                    ctx.inc(name!("storage.read_rejected"), 1);
                     ctx.send(
                         from,
                         ReadPageNack {
@@ -750,7 +714,7 @@ impl StorageNode {
                     && seg.log.scl() < req.read_point
                     && seg.applied_upto < req.read_point
                 {
-                    ctx.inc("storage.read_rejected", 1);
+                    ctx.inc(name!("storage.read_rejected"), 1);
                     let scl = seg.log.scl().max(seg.applied_upto);
                     ctx.send(
                         from,
@@ -785,7 +749,7 @@ impl StorageNode {
                             // of our log: incremental gossip can never
                             // advance its SCL. Ship a full catch-up copy
                             // (the repair mechanism, §2.3) instead.
-                            ctx.inc("storage.catchup_copies", 1);
+                            ctx.inc(name!("storage.catchup_copies"), 1);
                             let resp = Self::full_copy(seg, pull.segment, true);
                             ctx.send(from, resp);
                             return;
@@ -793,7 +757,7 @@ impl StorageNode {
                         let mut records = seg.log.range(pull.scl, my_scl);
                         records.truncate(self.cfg.gossip_batch_limit);
                         if !records.is_empty() {
-                            ctx.inc("storage.gossip_served", records.len() as u64);
+                            ctx.inc(name!("storage.gossip_served"), records.len() as u64);
                             ctx.send(
                                 from,
                                 GossipPush {
@@ -973,7 +937,7 @@ impl StorageNode {
         let msg = match msg.downcast::<RepairFetchReq>() {
             Ok(req) => {
                 if let Some(seg) = self.segments.get(&req.src_segment) {
-                    ctx.inc("storage.repair_served", 1);
+                    ctx.inc(name!("storage.repair_served"), 1);
                     let resp = Self::full_copy(seg, req.dest_segment, false);
                     ctx.send(req.dest, resp);
                 }
@@ -1004,7 +968,6 @@ impl StorageNode {
     }
 
     fn on_disk_done(&mut self, ctx: &mut Ctx<'_>, tag: Tag) {
-        let ids = self.hot(ctx);
         let Some(op) = self.pending.remove(&tag) else {
             return;
         };
@@ -1026,10 +989,13 @@ impl StorageNode {
                     seg.ingest(r.clone());
                 }
                 let scl = seg.log.scl();
-                ctx.record_id(ids.persist_ns, ctx.now().since(received_at).nanos());
-                ctx.trace_end("storage.persist", span, batch_end.0, scl.0);
+                ctx.record(
+                    name!("storage.persist_ns"),
+                    ctx.now().since(received_at).nanos(),
+                );
+                ctx.trace_end(name!("storage.persist"), span, batch_end.0, scl.0);
                 if scl > before {
-                    ctx.trace_instant("wm.scl", span, scl.0, segment.pg.0 as u64);
+                    ctx.trace_instant(name!("wm.scl"), span, scl.0, segment.pg.0 as u64);
                 }
                 ctx.send(
                     from,
@@ -1054,12 +1020,17 @@ impl StorageNode {
                 }
                 let scl = seg.log.scl();
                 if n > 0 {
-                    ctx.trace_instant("storage.gossip_fill", SpanId::NONE, n, segment.pg.0 as u64);
+                    ctx.trace_instant(
+                        name!("storage.gossip_fill"),
+                        SpanId::NONE,
+                        n,
+                        segment.pg.0 as u64,
+                    );
                 }
                 if scl > before {
-                    ctx.trace_instant("wm.scl", SpanId::NONE, scl.0, segment.pg.0 as u64);
+                    ctx.trace_instant(name!("wm.scl"), SpanId::NONE, scl.0, segment.pg.0 as u64);
                 }
-                ctx.inc_id(ids.gossip_filled, n);
+                ctx.inc(name!("storage.gossip_filled"), n);
             }
             PendingOp::ReadPage {
                 from,
@@ -1096,7 +1067,7 @@ impl StorageNode {
                     let scl = seg.log.scl();
                     // post-truncation completeness: the timeline must show
                     // the SCL resetting, not only advancing
-                    ctx.trace_instant("wm.scl", SpanId::NONE, scl.0, segment.pg.0 as u64);
+                    ctx.trace_instant(name!("wm.scl"), SpanId::NONE, scl.0, segment.pg.0 as u64);
                     ctx.send(
                         from,
                         TruncateAck {
@@ -1154,12 +1125,12 @@ impl StorageNode {
                         seg.gc_floor = gc_floor;
                     }
                     ctx.trace_instant(
-                        "storage.catchup_install",
+                        name!("storage.catchup_install"),
                         SpanId::NONE,
                         scl.0,
                         segment.pg.0 as u64,
                     );
-                    ctx.inc("storage.catchups_installed", 1);
+                    ctx.inc(name!("storage.catchups_installed"), 1);
                 } else {
                     let mut seg = SegmentState::new();
                     // Adopt the donor's truncation guard *before*
@@ -1186,12 +1157,12 @@ impl StorageNode {
                     seg.gc_floor = gc_floor;
                     self.segments.insert(segment, seg);
                     ctx.trace_instant(
-                        "storage.repair_install",
+                        name!("storage.repair_install"),
                         SpanId::NONE,
                         scl.0,
                         segment.pg.0 as u64,
                     );
-                    ctx.inc("storage.repairs_installed", 1);
+                    ctx.inc(name!("storage.repairs_installed"), 1);
                     if let Some(control) = self.cfg.control {
                         ctx.send(control, RepairDone { segment });
                     }
@@ -1202,12 +1173,11 @@ impl StorageNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: Tag) {
-        let ids = self.hot(ctx);
         match tag {
             TAG_GOSSIP => {
                 // Queue-depth gauge for the telemetry windows: in-flight
                 // foreground/background ops on this node right now.
-                ctx.gauge("storage.pending_ops", self.pending.len() as u64);
+                ctx.gauge(name!("storage.pending_ops"), self.pending.len() as u64);
                 if !self.busy() {
                     // Collect pulls first to satisfy the borrow checker.
                     let mut pulls: Vec<(NodeId, GossipPull)> = Vec::new();
@@ -1251,14 +1221,14 @@ impl StorageNode {
                     }
                     if total_applied > 0 {
                         ctx.trace_instant(
-                            "storage.coalesce",
+                            name!("storage.coalesce"),
                             SpanId::NONE,
                             total_applied as u64,
                             total_dirty as u64,
                         );
                     }
-                    ctx.inc_id(ids.coalesced, total_applied as u64);
-                    ctx.inc_id(ids.gc_records, total_gc as u64);
+                    ctx.inc(name!("storage.coalesced"), total_applied as u64);
+                    ctx.inc(name!("storage.gc_records"), total_gc as u64);
                 }
                 ctx.set_timer(self.cfg.coalesce_interval, TAG_COALESCE);
             }
@@ -1285,7 +1255,7 @@ impl StorageNode {
                             });
                             seg.archived_upto = upto;
                             seg.backup_count += 1;
-                            ctx.inc("storage.backups", 1);
+                            ctx.inc(name!("storage.backups"), 1);
                         }
                     }
                 }
@@ -1309,8 +1279,8 @@ impl StorageNode {
                             records += 1;
                         }
                     }
-                    ctx.inc("storage.scrubbed_pages", pages);
-                    ctx.inc("storage.scrubbed_records", records);
+                    ctx.inc(name!("storage.scrubbed_pages"), pages);
+                    ctx.inc(name!("storage.scrubbed_records"), records);
                 }
                 ctx.set_timer(self.cfg.scrub_interval, TAG_SCRUB);
             }

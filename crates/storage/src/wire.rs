@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use aurora_log::{LogRecord, Lsn, Page, PageId, SegmentId, TxnId, PAGE_SIZE};
 use aurora_quorum::{TruncationRange, VolumeEpoch};
-use aurora_sim::{Msg, NodeId, Payload};
+use aurora_sim::{name, Msg, Name, NodeId, Payload};
 
 use crate::volume::PgMembership;
 
@@ -49,8 +49,8 @@ impl Payload for WriteBatch {
     fn wire_size(&self) -> usize {
         48 + records_size(&self.records)
     }
-    fn class(&self) -> &'static str {
-        "log_write"
+    fn class(&self) -> &'static Name {
+        name!("log_write")
     }
 }
 
@@ -71,8 +71,8 @@ impl Payload for WriteFenced {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "log_ack"
+    fn class(&self) -> &'static Name {
+        name!("log_ack")
     }
 }
 
@@ -93,8 +93,8 @@ impl Payload for WriteAck {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "log_ack"
+    fn class(&self) -> &'static Name {
+        name!("log_ack")
     }
 }
 
@@ -115,8 +115,8 @@ impl Payload for ReadPageReq {
     fn wire_size(&self) -> usize {
         40
     }
-    fn class(&self) -> &'static str {
-        "page_read"
+    fn class(&self) -> &'static Name {
+        name!("page_read")
     }
 }
 
@@ -136,8 +136,8 @@ impl Payload for ReadPageResp {
     fn wire_size(&self) -> usize {
         32 + PAGE_SIZE
     }
-    fn class(&self) -> &'static str {
-        "page_resp"
+    fn class(&self) -> &'static Name {
+        name!("page_resp")
     }
 }
 
@@ -161,8 +161,8 @@ impl Payload for ReadPageNack {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "page_resp"
+    fn class(&self) -> &'static Name {
+        name!("page_resp")
     }
 }
 
@@ -189,8 +189,8 @@ impl Payload for GossipPull {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "gossip"
+    fn class(&self) -> &'static Name {
+        name!("gossip")
     }
 }
 
@@ -211,8 +211,8 @@ impl Payload for GossipPush {
     fn wire_size(&self) -> usize {
         16 + records_size(&self.records)
     }
-    fn class(&self) -> &'static str {
-        "gossip"
+    fn class(&self) -> &'static Name {
+        name!("gossip")
     }
 }
 
@@ -231,8 +231,8 @@ impl Payload for SegmentStateReq {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -253,8 +253,8 @@ impl Payload for SegmentStateResp {
     fn wire_size(&self) -> usize {
         48
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -273,8 +273,8 @@ impl Payload for CplBelowReq {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -293,8 +293,8 @@ impl Payload for CplBelowResp {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -314,8 +314,8 @@ impl Payload for TxnScanReq {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -335,8 +335,8 @@ impl Payload for TxnScanResp {
     fn wire_size(&self) -> usize {
         24 + 8 * (self.begun.len() + self.finished.len())
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -356,8 +356,8 @@ impl Payload for UndoScanReq {
     fn wire_size(&self) -> usize {
         32 + 8 * self.txns.len()
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -376,8 +376,8 @@ impl Payload for UndoScanResp {
     fn wire_size(&self) -> usize {
         24 + records_size(&self.records)
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -395,8 +395,8 @@ impl Payload for Truncate {
     fn wire_size(&self) -> usize {
         48
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -418,8 +418,8 @@ impl Payload for TruncateAck {
     fn wire_size(&self) -> usize {
         32
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -442,8 +442,8 @@ impl Payload for EpochBehind {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "recovery"
+    fn class(&self) -> &'static Name {
+        name!("recovery")
     }
 }
 
@@ -462,8 +462,8 @@ impl Payload for SegmentPeers {
     fn wire_size(&self) -> usize {
         16 + 4 * self.peers.len()
     }
-    fn class(&self) -> &'static str {
-        "ctrl"
+    fn class(&self) -> &'static Name {
+        name!("ctrl")
     }
 }
 
@@ -480,8 +480,8 @@ impl Payload for Heartbeat {
     fn wire_size(&self) -> usize {
         8 + 8 * self.hosted.len()
     }
-    fn class(&self) -> &'static str {
-        "ctrl"
+    fn class(&self) -> &'static Name {
+        name!("ctrl")
     }
 }
 
@@ -503,8 +503,8 @@ impl Payload for RepairFetchReq {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "repair"
+    fn class(&self) -> &'static Name {
+        name!("repair")
     }
 }
 
@@ -545,8 +545,8 @@ impl Payload for RepairFetchResp {
     fn wire_size(&self) -> usize {
         32 + self.pages.len() * (8 + PAGE_SIZE) + records_size(&self.records)
     }
-    fn class(&self) -> &'static str {
-        "repair"
+    fn class(&self) -> &'static Name {
+        name!("repair")
     }
 }
 
@@ -563,8 +563,8 @@ impl Payload for RepairDone {
     fn wire_size(&self) -> usize {
         16
     }
-    fn class(&self) -> &'static str {
-        "repair"
+    fn class(&self) -> &'static Name {
+        name!("repair")
     }
 }
 
@@ -585,8 +585,8 @@ impl Payload for SuspectReport {
     fn wire_size(&self) -> usize {
         24
     }
-    fn class(&self) -> &'static str {
-        "ctrl"
+    fn class(&self) -> &'static Name {
+        name!("ctrl")
     }
 }
 
@@ -603,8 +603,8 @@ impl Payload for MembershipUpdate {
     fn wire_size(&self) -> usize {
         16 + 4 * 6
     }
-    fn class(&self) -> &'static str {
-        "ctrl"
+    fn class(&self) -> &'static Name {
+        name!("ctrl")
     }
 }
 
@@ -638,14 +638,15 @@ mod tests {
             vdl: Lsn::ZERO,
             pgmrpl: Lsn::ZERO,
         };
-        assert_eq!(wb.class(), "log_write");
+        assert_eq!(wb.class().name(), "log_write");
         assert_eq!(
             WriteAck {
                 segment: seg(),
                 batch_end: Lsn(1),
                 scl: Lsn(1)
             }
-            .class(),
+            .class()
+            .name(),
             "log_ack"
         );
         assert_eq!(
@@ -655,7 +656,8 @@ mod tests {
                 page: PageId(0),
                 read_point: Lsn(1)
             }
-            .class(),
+            .class()
+            .name(),
             "page_read"
         );
     }
