@@ -5,11 +5,13 @@
 //! idle-pipe fast path, and bit-identical replay of the new timer logic.
 
 use aurora::core::cluster::{Cluster, ClusterConfig};
-use aurora::core::engine::{EngineActor, EngineStatus, ShipPolicy};
+use aurora::core::engine::{EngineActor, EngineStatus, RetransmitPolicy, ShipPolicy};
 use aurora::core::wire::{Op, Promote, TxnResult, TxnSpec};
 use aurora::log::{Lsn, PgId, SegmentId};
 use aurora::quorum::VolumeEpoch;
-use aurora::sim::{FaultPlan, PacketChaos, SimDuration};
+use aurora::sim::hash::FxHasher;
+use aurora::sim::{BrownoutSpec, FaultPlan, PacketChaos, SimDuration};
+use std::hash::{Hash, Hasher};
 
 fn value_of(version: u64) -> Vec<u8> {
     let mut v = vec![0u8; 16];
@@ -249,4 +251,96 @@ fn adaptive_timer_logic_replays_bit_identically() {
     assert!(a.2 > 0, "immediate ships must fire (idle-pipe path)");
     assert!(a.3 > 0, "deadline ships must fire (full-pipe path)");
     assert_eq!(a, b, "adaptive timer logic diverged between same-seed runs");
+}
+
+/// Pins every ship × retransmit policy pair to a golden digest. Each pair
+/// runs one seed through a one-node disk brownout under 4% packet loss,
+/// so retransmits, hedges, health strikes and both flush paths all fire;
+/// the digest covers every per-node counter, the packet count and the
+/// final clock. Any change to the order of sends, timers, RNG draws or
+/// metric calls on the commit path moves at least one digest.
+#[test]
+fn every_ship_and_retransmit_policy_replays_its_golden_digest() {
+    fn digest(ship: ShipPolicy, retransmit: RetransmitPolicy) -> u64 {
+        let mut c = Cluster::build_with(
+            ClusterConfig {
+                seed: 23,
+                with_control: true,
+                ..Default::default()
+            },
+            move |e| {
+                e.ship_policy = ship;
+                e.retransmit_policy = retransmit;
+            },
+        );
+        c.sim.run_for(SimDuration::from_millis(300));
+        let ms = SimDuration::from_millis;
+        let plan = FaultPlan::new()
+            .brownout_for(
+                ms(50),
+                ms(1500),
+                c.storage[2],
+                BrownoutSpec {
+                    ramp_secs: 0.05,
+                    peak_factor: 200.0,
+                },
+            )
+            .packet_chaos_for(
+                ms(10),
+                ms(1500),
+                PacketChaos {
+                    drop: 0.04,
+                    duplicate: 0.0,
+                    delay: 0.0,
+                    delay_by: ms(0),
+                },
+            );
+        c.sim.install_fault_plan(&plan);
+        let mut conn = 0u64;
+        for round in 0..100u64 {
+            for k in 0..8u64 {
+                conn += 1;
+                c.submit(conn, TxnSpec::single(Op::Upsert(k, value_of(round + 1))));
+            }
+            c.sim.run_for(ms(20));
+        }
+        c.sim.run_for(SimDuration::from_secs(1));
+        assert!(
+            c.sim.metrics.counter_total("engine.log_write_retransmits") > 0,
+            "{ship:?}/{retransmit:?}: packet loss must force retransmits"
+        );
+        let mut h = FxHasher::default();
+        c.sim.metrics.counters_snapshot().hash(&mut h);
+        c.sim.net().packets.hash(&mut h);
+        c.sim.now().nanos().hash(&mut h);
+        h.finish()
+    }
+
+    const GOLDEN: [(ShipPolicy, RetransmitPolicy, u64); 4] = [
+        (
+            ShipPolicy::Adaptive,
+            RetransmitPolicy::Hedged,
+            3986544114664919186,
+        ),
+        (
+            ShipPolicy::Adaptive,
+            RetransmitPolicy::Fixed,
+            7422506258093273641,
+        ),
+        (
+            ShipPolicy::FixedInterval,
+            RetransmitPolicy::Hedged,
+            3723790425908355846,
+        ),
+        (
+            ShipPolicy::FixedInterval,
+            RetransmitPolicy::Fixed,
+            4141521956588504224,
+        ),
+    ];
+    let got: Vec<(ShipPolicy, RetransmitPolicy, u64)> = GOLDEN
+        .iter()
+        .map(|&(ship, retransmit, _)| (ship, retransmit, digest(ship, retransmit)))
+        .collect();
+    assert_eq!(got, GOLDEN, "a policy pair diverged from its golden run");
 }
