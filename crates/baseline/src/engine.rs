@@ -24,14 +24,16 @@ use std::collections::VecDeque;
 
 use aurora_sim::hash::FxHashMap as HashMap;
 
-use aurora_core::btree::{BTree, BTreeError, PageEditor, PageMiss, PageProvider, TreeMeta};
+use aurora_core::btree::{BTree, BTreeError, TreeMeta};
 use aurora_core::buffer::BufferPool;
+use aurora_core::engine::exec::{
+    decode_undo, encode_undo, plan_write, schedule_cpu, PoolProvider, RowChange,
+};
 use aurora_core::engine::InstanceSpec;
 use aurora_core::locks::{LockOutcome, LockTable};
 use aurora_core::wire::{ClientRequest, ClientResponse, Op, OpResult, TxnResult, TxnSpec};
-use aurora_log::{LogRecord, Lsn, Page, PageId, Patch, PgId, RecordBody, TxnId};
+use aurora_log::{LogRecord, Lsn, Page, PageId, PgId, RecordBody, TxnId};
 use aurora_sim::{name, Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, Tag};
-use bytes::Bytes;
 
 use crate::wire::*;
 
@@ -233,71 +235,6 @@ enum Status {
     Recovering,
 }
 
-// ---- provider over the traditional buffer pool ----
-
-struct MysqlProvider<'a> {
-    pool: &'a mut BufferPool,
-    bodies: Vec<RecordBody>,
-}
-
-impl<'a> PageProvider for MysqlProvider<'a> {
-    fn read(&mut self, id: PageId) -> Result<&Page, PageMiss> {
-        if self.pool.get(id).is_some() {
-            Ok(self.pool.peek(id).unwrap())
-        } else {
-            Err(PageMiss(id))
-        }
-    }
-
-    fn write(
-        &mut self,
-        id: PageId,
-        f: &mut dyn FnMut(&mut PageEditor<'_>),
-    ) -> Result<(), PageMiss> {
-        let Some(page) = self.pool.get_mut(id) else {
-            return Err(PageMiss(id));
-        };
-        let mut patches = Vec::new();
-        {
-            let mut editor = PageEditor::new(page, &mut patches);
-            f(&mut editor);
-        }
-        if !patches.is_empty() {
-            self.bodies.push(RecordBody::PageWrite {
-                page: id,
-                patches: patches
-                    .into_iter()
-                    .map(|(offset, before, after)| Patch {
-                        offset,
-                        before: Bytes::from(before),
-                        after: Bytes::from(after),
-                    })
-                    .collect(),
-            });
-        }
-        Ok(())
-    }
-
-    fn allocate(&mut self) -> Result<PageId, PageMiss> {
-        let off = aurora_core::btree::OFF_META_NEXT_FREE;
-        let next = {
-            let meta = self.pool.get(PageId(0)).ok_or(PageMiss(PageId(0)))?;
-            let stored = u64::from_le_bytes(meta.bytes()[off..off + 8].try_into().unwrap());
-            stored.max(1)
-        };
-        let id = PageId(next);
-        self.write(PageId(0), &mut |e| {
-            e.set_u64(off, next + 1);
-        })?;
-        self.bodies.push(RecordBody::PageFormat {
-            page: id,
-            init: Bytes::new(),
-        });
-        self.pool.insert_unchecked(id, Page::new());
-        Ok(id)
-    }
-}
-
 enum ExecStall {
     Miss(PageId),
     Abort(String),
@@ -308,50 +245,6 @@ fn stall_from(e: BTreeError) -> ExecStall {
         BTreeError::Miss(m) => ExecStall::Miss(m.0),
         other => ExecStall::Abort(other.to_string()),
     }
-}
-
-fn fit_row(v: &[u8], row_size: usize) -> Vec<u8> {
-    let mut row = vec![0u8; row_size];
-    let n = v.len().min(row_size);
-    row[..n].copy_from_slice(&v[..n]);
-    row
-}
-
-fn encode_undo(op: &Op) -> Bytes {
-    // same layout as aurora-core's undo encoding, txn id prepended by caller
-    let mut out = Vec::with_capacity(32);
-    match op {
-        Op::Insert(k, v) => {
-            out.push(0);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Update(k, v) => {
-            out.push(1);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Delete(k) => {
-            out.push(2);
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        _ => unreachable!(),
-    }
-    Bytes::from(out)
-}
-
-fn decode_undo(data: &[u8]) -> Option<Op> {
-    if data.len() < 9 {
-        return None;
-    }
-    let tag = data[0];
-    let k = u64::from_le_bytes(data[1..9].try_into().ok()?);
-    Some(match tag {
-        0 => Op::Insert(k, data[9..].to_vec()),
-        1 => Op::Update(k, data[9..].to_vec()),
-        2 => Op::Delete(k),
-        _ => return None,
-    })
 }
 
 impl MysqlEngine {
@@ -418,23 +311,6 @@ impl MysqlEngine {
             self.redo_since_checkpoint += 1;
         }
         (first, Lsn(self.next_lsn - 1))
-    }
-
-    // ---- CPU ----
-
-    fn schedule_cpu(&mut self, ctx: &mut Ctx<'_>, conn: u64, cost: SimDuration) {
-        let now = ctx.now();
-        let (idx, free) = self
-            .vcpu_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, t)| (i, *t))
-            .unwrap();
-        let start = if free > now { free } else { now };
-        let end = start + cost;
-        self.vcpu_free[idx] = end;
-        ctx.set_timer(end - now, TAG_CPU_BASE + conn);
     }
 
     // ---- the commit chain (Figure 2) ----
@@ -683,7 +559,7 @@ impl MysqlEngine {
         let active = self.running.len() as f64;
         let thrash = 1.0 + (active / self.cfg.thrash_conns.max(1) as f64).powi(2);
         let cost = base.mul_f64(thrash);
-        self.schedule_cpu(ctx, conn, cost);
+        schedule_cpu(ctx, &mut self.vcpu_free, cost, TAG_CPU_BASE + conn);
     }
 
     fn exec_current_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
@@ -770,17 +646,11 @@ impl MysqlEngine {
         let row_size = self.cfg.row_size;
         match op {
             Op::Get(k) => {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
+                let mut p = PoolProvider::new(&mut self.pool);
                 tree.get(&mut p, *k).map(OpResult::Row).map_err(stall_from)
             }
             Op::Scan(k, n) => {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
+                let mut p = PoolProvider::new(&mut self.pool);
                 tree.scan(&mut p, *k, *n)
                     .map(OpResult::Rows)
                     .map_err(stall_from)
@@ -788,54 +658,22 @@ impl MysqlEngine {
             write => {
                 let key = write.write_key().unwrap();
                 // read old value
-                let old = {
-                    let mut p = MysqlProvider {
-                        pool: &mut self.pool,
-                        bodies: Vec::new(),
-                    };
-                    tree.get(&mut p, key).map_err(stall_from)?
-                };
-                let (inverse, act): (Op, u8) = match (write, &old) {
-                    (Op::Insert(_, _), None) | (Op::Upsert(_, _), None) => (Op::Delete(key), 0),
-                    (Op::Insert(_, _), Some(_)) => {
-                        return Err(ExecStall::Abort(format!("duplicate key {key}")))
-                    }
-                    (Op::Update(_, _), Some(o)) | (Op::Upsert(_, _), Some(o)) => {
-                        (Op::Update(key, o.clone()), 1)
-                    }
-                    (Op::Update(_, _), None) => {
-                        return Err(ExecStall::Abort(format!("key {key} not found")))
-                    }
-                    (Op::Delete(_), Some(o)) => (Op::Insert(key, o.clone()), 2),
-                    (Op::Delete(_), None) => {
-                        return Err(ExecStall::Abort(format!("key {key} not found")))
-                    }
-                    _ => unreachable!(),
-                };
-                let mut bodies = {
-                    let mut p = MysqlProvider {
-                        pool: &mut self.pool,
-                        bodies: Vec::new(),
-                    };
-                    let r = match (write, act) {
-                        (Op::Insert(_, v), 0) | (Op::Upsert(_, v), 0) => {
-                            tree.insert(&mut p, key, &fit_row(v, row_size))
-                        }
-                        (Op::Update(_, v), 1) | (Op::Upsert(_, v), 1) => {
-                            tree.update(&mut p, key, &fit_row(v, row_size))
-                        }
-                        (Op::Delete(_), 2) => tree.delete(&mut p, key),
-                        _ => unreachable!(),
-                    };
-                    r.map_err(stall_from)?;
-                    p.bodies
-                };
+                let old = tree
+                    .get(&mut PoolProvider::new(&mut self.pool), key)
+                    .map_err(stall_from)?;
+                let (change, inverse) =
+                    plan_write(write, old, row_size).map_err(ExecStall::Abort)?;
+                let mut p = PoolProvider::new(&mut self.pool);
+                match &change {
+                    RowChange::Insert(row) => tree.insert(&mut p, key, row),
+                    RowChange::Update(row) => tree.update(&mut p, key, row),
+                    RowChange::Delete => tree.delete(&mut p, key),
+                }
+                .map_err(stall_from)?;
+                let mut bodies = p.bodies;
                 // log the logical undo alongside (as InnoDB redo-logs undo)
-                let mut undo_payload = Vec::with_capacity(40);
-                undo_payload.extend_from_slice(&txn.0.to_le_bytes());
-                undo_payload.extend_from_slice(&encode_undo(&inverse));
                 bodies.push(RecordBody::Undo {
-                    data: Bytes::from(undo_payload),
+                    data: encode_undo(txn, &inverse),
                 });
                 let rt = self.running.get_mut(&conn).unwrap();
                 let first_write = !rt.wrote;
@@ -1086,10 +924,7 @@ impl MysqlEngine {
         let tree = self.tree;
         self.pool.insert_unchecked(PageId(0), Page::new());
         let bodies = {
-            let mut p = MysqlProvider {
-                pool: &mut self.pool,
-                bodies: Vec::new(),
-            };
+            let mut p = PoolProvider::new(&mut self.pool);
             tree.create(&mut p).expect("create");
             p.bodies
         };
@@ -1106,10 +941,7 @@ impl MysqlEngine {
         for k in self.bootstrap_next..end {
             let row = aurora_core::engine::bootstrap_row(k, self.cfg.row_size);
             let bodies = {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
+                let mut p = PoolProvider::new(&mut self.pool);
                 tree.insert(&mut p, k, &row).expect("bootstrap insert");
                 p.bodies
             };
@@ -1238,9 +1070,8 @@ impl MysqlEngine {
             match &r.body {
                 RecordBody::TxnBegin => begun.push(r.txn),
                 RecordBody::TxnCommit | RecordBody::TxnAbort => finished.push(r.txn),
-                RecordBody::Undo { data } if data.len() > 8 => {
-                    let t = TxnId(u64::from_le_bytes(data[0..8].try_into().unwrap()));
-                    if let Some(op) = decode_undo(&data[8..]) {
+                RecordBody::Undo { data } => {
+                    if let Some((t, op)) = decode_undo(data) {
                         undos.push((r.lsn, t, op));
                     }
                 }

@@ -77,8 +77,6 @@ pub struct AuroraParams {
     pub ship_policy: Option<aurora_core::engine::ShipPolicy>,
     /// Retransmit policy (None = engine default, backoff + hedging).
     pub retransmit_policy: Option<aurora_core::engine::RetransmitPolicy>,
-    /// Base retransmit timeout (None = engine default).
-    pub retransmit_base: Option<SimDuration>,
     /// Derive warmup from the workload instead of running `warmup`
     /// verbatim: warm in slices until every connection has completed at
     /// least one transaction and the completion rate stabilizes, with
@@ -104,7 +102,6 @@ impl AuroraParams {
             fault_plan: None,
             ship_policy: None,
             retransmit_policy: None,
-            retransmit_base: None,
             warmup_auto: false,
         }
     }
@@ -354,9 +351,6 @@ pub fn run_aurora_with(
             }
             if let Some(rp) = p.retransmit_policy {
                 e.retransmit_policy = rp;
-            }
-            if let Some(rb) = p.retransmit_base {
-                e.retransmit_base = rb;
             }
             tweak(e);
         },
